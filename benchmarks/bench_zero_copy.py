@@ -12,12 +12,13 @@ The zero-copy PR's two claims, measured and gated:
   shared-memory image lane are both on the timed path.  Bit-equality
   against a serial thread-lane baseline rides along with every
   measurement.
-* **Wire bytes** — shipping a work item as a binary frame (JSON header
+* **Wire bytes** — shipping a work item as an RBF1 frame (JSON header
   + raw buffers, lossless COO for mostly-zero planes) must cut the
-  per-item wire bytes by >= 4x against the v1 base64-JSON line encoding
-  for event-style sparse inputs (hard gate everywhere; the dense-input
-  ratio is recorded for context — base64 alone costs 4/3x, so dense
-  frames land near 1.33x).
+  per-item wire bytes by >= 4x against a base64-in-JSON line of the
+  same payload (built here with ``json`` + ``base64``; the fabric no
+  longer speaks it) for event-style sparse inputs (hard gate
+  everywhere; the dense-input ratio is recorded for context — base64
+  alone costs 4/3x, so dense frames land near 1.33x).
 
 Results land in ``artifacts/bench_zero_copy.json`` next to the other
 trajectory files (backends, sweep, serve, runtime, multimodel).
@@ -33,12 +34,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
              "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import base64
+import json
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import AcceleratorConfig
+from repro.core.engine.calibrate import probe_batch
 from repro.harness import Table
 from repro.models import performance_network
 from repro.runtime import (
@@ -46,13 +50,10 @@ from repro.runtime import (
     WorkItem,
     WorkerGroup,
     create_workers,
-    encode_array,
     encode_frame,
-    encode_line,
     shm_available,
 )
 
-from benchmarks.bench_backends import _event_batch
 from benchmarks.conftest import (
     FAST_MODE,
     multicore,
@@ -66,6 +67,9 @@ RESULTS_PATH = (Path(__file__).resolve().parent.parent
 NUM_ITEMS = 8 if FAST_MODE else 12
 ITEM_BATCH = 64 if FAST_MODE else 96
 WIRE_BATCH = 64
+#: Half the frames silent, the rest one 6x6 blob on a 32x32 plane.
+WIRE_SILENT_FRAC = 0.5
+WIRE_DENSITY = (1 - WIRE_SILENT_FRAC) * 6 * 6 / (32 * 32)
 WIRE_REDUCTION_GATE = 4.0
 
 
@@ -120,16 +124,21 @@ def run_lane_scaling(rng) -> dict:
 
 
 def _wire_bytes(images: np.ndarray) -> tuple[int, int]:
-    """(v1 base64-JSON line bytes, binary frame bytes) for one item."""
-    payload = {"op": "execute", "item_id": 0, "deployment": 0}
-    json_line = encode_line({**payload, "images": encode_array(images)})
-    frame = encode_frame(payload, {"images": images})
+    """(base64-JSON line bytes, RBF1 frame bytes) for one item."""
+    payload = {"op": "execute_many",
+               "items": [{"item_id": 0, "deployment": 0}]}
+    envelope = {"dtype": str(images.dtype), "shape": list(images.shape),
+                "data": base64.b64encode(images.tobytes()).decode()}
+    json_line = (json.dumps({**payload, "images:0": envelope})
+                 + "\n").encode()
+    frame = encode_frame(payload, {"images:0": images})
     return len(json_line), len(frame)
 
 
 def run_wire_comparison(rng) -> dict:
     """Per-item wire bytes, binary frame vs base64-JSON line."""
-    sparse = _event_batch(rng, (1, 32, 32), WIRE_BATCH)
+    sparse = probe_batch((1, 32, 32), WIRE_DENSITY, WIRE_BATCH, rng,
+                         silent_frac=WIRE_SILENT_FRAC)
     dense = rng.random((WIRE_BATCH, 1, 32, 32))
 
     sparse_json, sparse_frame = _wire_bytes(sparse)

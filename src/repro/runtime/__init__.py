@@ -1,13 +1,15 @@
 """The worker fabric: one executor/transport layer for serving and sweeps.
 
 ``repro.runtime`` owns the worker abstraction for the whole codebase.
-A :class:`Worker` executes :class:`WorkItem` batches on warm engines and
-returns logits plus per-image trace aggregates; three interchangeable
-executors ship (``thread``, ``process``, ``remote`` — the last over
-TCP to a host running ``repro worker --listen``, negotiating zero-copy
-binary frames with a JSON-lines fallback for old peers); a
-:class:`WorkerGroup` schedules items across any mix of them with work
-stealing, heartbeat liveness tracking and crash requeueing.
+A :class:`Worker` executes chunks of :class:`WorkItem` batches on warm
+engines through one send/collect protocol and returns logits plus
+per-image trace aggregates; three interchangeable executors ship
+(``thread``, ``process``, ``remote`` — the last over TCP to a host
+running ``repro worker --listen``, speaking the one zero-copy RBF1
+frame format of :mod:`repro.runtime.codec`); a :class:`WorkerGroup`
+schedules items across any mix of them with one windowed dispatch loop
+per lane, work stealing, heartbeat liveness tracking and crash
+requeueing.
 
 The serving pool (``repro.serve.pool.EnginePool``) and the sweep driver
 (``repro.harness.sweep.SweepDriver``) are thin policy layers over this
@@ -30,14 +32,10 @@ Quick tour::
 from repro.runtime.codec import (
     attach_token,
     check_token,
-    decode_array,
     decode_blob,
     decode_frame,
-    decode_line,
-    encode_array,
     encode_blob,
     encode_frame,
-    encode_line,
     fabric_auth,
     parse_frame_prefix,
     read_frame,
@@ -91,14 +89,10 @@ __all__ = [
     "attach_token",
     "check_token",
     "create_workers",
-    "decode_array",
     "decode_blob",
     "decode_frame",
-    "decode_line",
-    "encode_array",
     "encode_blob",
     "encode_frame",
-    "encode_line",
     "execute_item",
     "fabric_auth",
     "join_fabric",

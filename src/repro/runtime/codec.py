@@ -1,22 +1,17 @@
-"""Wire codecs shared by the worker fabric and the serving transport.
+"""The one wire codec shared by the worker fabric and the serving transport.
 
-Two framings cross sockets in this repo, both defined here so the wire
-surfaces can never drift apart:
-
-* **JSON lines** (the v1 framing, and the negotiation fallback) — one
-  JSON object per line, encoded by :func:`encode_line` and parsed by
-  :func:`decode_line`, arrays riding as base64 envelopes
-  (:func:`encode_array`).
-* **Binary frames** (negotiated per connection) — a length-prefixed
-  frame carrying a small JSON header plus the raw ndarray buffers
-  appended verbatim: :func:`encode_frame` / :func:`decode_frame` /
-  :func:`read_frame`.  No base64, no pickle for arrays; decoding maps
-  each buffer back with ``np.frombuffer`` (zero copies), and arrays
-  whose contents are mostly zeros — spike-sparse workloads, the paper's
-  whole premise — ship as lossless COO (flat indices + values) when
-  that is smaller.  Either representation rebuilds the array
-  byte-for-byte, so binary lanes stay inside the fabric's bit-exactness
-  contract.
+Every byte on both TCP stacks (``repro.runtime.remote`` and
+``repro.serve.transport``) is an RBF1 frame, from the first byte of a
+connection on: a length-prefixed frame carrying a small JSON header plus
+the raw ndarray buffers appended verbatim (:func:`encode_frame` /
+:func:`decode_frame` / :func:`read_frame`).  No base64, no pickle for
+arrays; decoding maps each buffer back with ``np.frombuffer`` (zero
+copies), and arrays whose contents are mostly zeros — spike-sparse
+workloads, the paper's whole premise — ship as lossless COO (flat
+indices + values) when that is smaller.  Either representation rebuilds
+the array byte-for-byte, which is what keeps remote lanes inside the
+fabric's bit-exactness contract.  The header is plain JSON, so a
+non-Python client needs nothing beyond a JSON parser.
 
 Frame layout (all integers little-endian)::
 
@@ -31,20 +26,14 @@ array descriptor's dtype (whitelist), shape and byte accounting — is
 validated **before any buffer is allocated or copied**; violations raise
 :class:`~repro.errors.CodecError`.  A hostile peer can therefore make a
 connection fail typed, but cannot make it allocate gigabytes or
-interpret bytes as objects.
+interpret bytes as objects.  Bytes that are not a frame at all (a JSON
+line, garbage) fail on the magic.
 
-Numeric payloads ride inside the JSON as compact, bit-exact envelopes:
-
-* :func:`encode_array` / :func:`decode_array` — a numpy array as
-  ``{dtype, shape, data}`` with the raw buffer base64-encoded.  The
-  decoded array is byte-for-byte identical to the original, which is
-  what lets a remote engine worker produce results bit-identical to a
-  local run (the fabric's acceptance contract).
-* :func:`encode_blob` / :func:`decode_blob` — an arbitrary picklable
-  object (deployment specs: quantized networks, configs, calibrations)
-  as base64-wrapped pickle.  **Blobs are code-adjacent data: only
-  exchange them between mutually trusted hosts.**  The worker fabric is
-  a lab/cluster tool, not an internet-facing service.
+:func:`encode_blob` / :func:`decode_blob` carry an arbitrary picklable
+object (deployment specs: quantized networks, configs, calibrations) as
+a base64-wrapped pickle inside the header.  **Blobs are code-adjacent
+data: only exchange them between mutually trusted hosts.**  The worker
+fabric is a lab/cluster tool, not an internet-facing service.
 
 An optional shared secret softens that caveat: with a token configured
 (``repro worker --listen --token T``), every payload must carry a valid
@@ -75,14 +64,10 @@ __all__ = [
     "FRAME_PREFIX_LEN",
     "attach_token",
     "check_token",
-    "decode_array",
     "decode_blob",
     "decode_frame",
-    "decode_line",
-    "encode_array",
     "encode_blob",
     "encode_frame",
-    "encode_line",
     "fabric_auth",
     "get_coo_ratio",
     "parse_frame_prefix",
@@ -91,64 +76,23 @@ __all__ = [
 ]
 
 
-#: Cached telemetry children, one per (direction, encoding) — allocated
-#: lazily on first use, so the codec stays import-cheap and the hot path
-#: pays one dict lookup + one counter add per message.
-_BYTE_COUNTERS: dict[tuple[str, str], object] = {}
+#: Cached telemetry children, one per direction — allocated lazily on
+#: first use, so the codec stays import-cheap and the hot path pays one
+#: dict lookup + one counter add per frame.
+_BYTE_COUNTERS: dict[str, object] = {}
 
 
-def _count_bytes(direction: str, encoding: str, nbytes: int) -> None:
-    child = _BYTE_COUNTERS.get((direction, encoding))
+def _count_bytes(direction: str, nbytes: int) -> None:
+    child = _BYTE_COUNTERS.get(direction)
     if child is None:
         from repro.telemetry import get_registry
         child = get_registry().counter(
             "repro_codec_bytes_total",
             "Bytes crossing the wire codecs, by direction and encoding",
             labelnames=("direction", "encoding"),
-        ).labels(direction=direction, encoding=encoding)
-        _BYTE_COUNTERS[(direction, encoding)] = child
+        ).labels(direction=direction, encoding="binary")
+        _BYTE_COUNTERS[direction] = child
     child.inc(nbytes)
-
-
-def encode_line(payload: dict) -> bytes:
-    """One JSON message, newline-terminated (the shared framing)."""
-    data = (json.dumps(payload) + "\n").encode()
-    _count_bytes("sent", "json", len(data))
-    return data
-
-
-def decode_line(line: bytes | str) -> dict:
-    """Parse one framed line; raises ``ValueError`` on non-object JSON."""
-    message = json.loads(line)
-    if not isinstance(message, dict):
-        raise ValueError("message must be a JSON object")
-    _count_bytes("received", "json", len(line))
-    return message
-
-
-def encode_array(array: np.ndarray) -> dict:
-    """A numpy array as a JSON-safe ``{dtype, shape, data}`` envelope."""
-    array = np.ascontiguousarray(array)
-    return {
-        "dtype": str(array.dtype),
-        "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
-    }
-
-
-def decode_array(payload: dict) -> np.ndarray:
-    """Rebuild an array bit-identically from its wire envelope.
-
-    The returned array is a **read-only** view over the decoded buffer:
-    wrapping the base64 output directly (instead of the historical
-    ``frombuffer(...).copy()``) saves one full-buffer copy per message.
-    Fabric consumers only ever read decoded arrays (engines quantize
-    into fresh tensors, result handling argmaxes/merges); a caller that
-    needs to mutate one copies explicitly.
-    """
-    raw = base64.b64decode(payload["data"])
-    array = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-    return array.reshape(tuple(payload["shape"]))
 
 
 def encode_blob(obj) -> str:
@@ -163,7 +107,7 @@ def decode_blob(text: str) -> object:
 
 
 # ----------------------------------------------------------------------
-# Binary frames — the negotiated zero-copy framing
+# RBF1 frames
 # ----------------------------------------------------------------------
 FRAME_MAGIC = b"RBF1"
 FRAME_PREFIX_LEN = 16                    # magic + uint32 hlen + uint64 blen
@@ -174,6 +118,7 @@ _PREFIX_STRUCT = struct.Struct("<4sIQ")
 #: yet small enough that a hostile length prefix cannot OOM the host.
 MAX_HEADER_BYTES = 1 << 20               # 1 MiB of JSON header
 MAX_BODY_BYTES = 1 << 31                 # 2 GiB of array buffers
+_MAX_NDIM = 32                           # numpy's own dimension limit
 
 #: The only dtypes allowed on the wire.  Names are matched as exact
 #: strings *before* ``np.dtype`` ever sees attacker input, so a frame
@@ -273,7 +218,9 @@ def encode_frame(payload: dict,
             descriptor["offset"], descriptor["nbytes"] = _append(values)
         else:
             descriptor["enc"] = "raw"
-            descriptor["offset"], descriptor["nbytes"] = _append(array)
+            # The flat view: memoryview cannot cast a multi-dimensional
+            # buffer with a zero extent.
+            descriptor["offset"], descriptor["nbytes"] = _append(flat)
         descriptors[name] = descriptor
 
     header = json.dumps({"payload": payload,
@@ -285,7 +232,7 @@ def encode_frame(payload: dict,
         raise CodecError(f"frame body is {offset} bytes "
                          f"(cap {MAX_BODY_BYTES})")
     prefix = _PREFIX_STRUCT.pack(FRAME_MAGIC, len(header), offset)
-    _count_bytes("sent", "binary",
+    _count_bytes("sent",
                  FRAME_PREFIX_LEN + len(header) + offset)
     return b"".join([prefix, header, *buffers])
 
@@ -325,18 +272,21 @@ def _decode_descriptor(name: str, descriptor, body: memoryview
     _require(isinstance(descriptor, dict),
              f"array descriptor {name!r} must be an object")
     dtype_name = descriptor.get("dtype")
-    _require(dtype_name in _WIRE_DTYPES,
+    _require(isinstance(dtype_name, str) and dtype_name in _WIRE_DTYPES,
              f"array {name!r} smuggles dtype {dtype_name!r}")
     dtype = np.dtype(dtype_name)
     shape = descriptor.get("shape")
-    _require(isinstance(shape, list)
-             and all(isinstance(s, int) and s >= 0 for s in shape),
+    _require(isinstance(shape, list) and len(shape) <= _MAX_NDIM
+             and all(type(s) is int and s >= 0 for s in shape),
              f"array {name!r} has a malformed shape")
-    size = 1
+    # numpy refuses shapes whose non-zero extents overflow even when a
+    # zero extent makes the array empty, so cap that product too.
+    size = span = 1
     for extent in shape:
         size *= extent
-    _require(size * dtype.itemsize <= MAX_BODY_BYTES,
-             f"array {name!r} declares {size} elements (over cap)")
+        span *= max(extent, 1)
+    _require(span * dtype.itemsize <= MAX_BODY_BYTES,
+             f"array {name!r} declares {span} elements (over cap)")
 
     def _slice(offset, nbytes) -> memoryview:
         _require(isinstance(offset, int) and isinstance(nbytes, int)
@@ -387,7 +337,7 @@ def decode_frame(header: bytes | memoryview,
     """
     try:
         parsed = json.loads(bytes(header))
-    except (ValueError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         raise CodecError(f"frame header is not valid JSON: {error}") \
             from error
     _require(isinstance(parsed, dict)
@@ -398,7 +348,7 @@ def decode_frame(header: bytes | memoryview,
     arrays = {str(name): _decode_descriptor(str(name), descriptor,
                                             body_view)
               for name, descriptor in parsed["arrays"].items()}
-    _count_bytes("received", "binary",
+    _count_bytes("received",
                  FRAME_PREFIX_LEN + len(header) + body_view.nbytes)
     return parsed["payload"], arrays
 
@@ -408,13 +358,17 @@ def read_frame(reader) -> tuple[dict, dict[str, np.ndarray]] | None:
 
     Returns ``None`` on clean EOF (peer hung up between frames); raises
     :class:`~repro.errors.CodecError` on a truncated or hostile frame.
-    The declared lengths are validated against the caps *before* the
+    The magic is checked as soon as its four bytes arrive, so a peer
+    speaking anything else (a JSON line, say) fails at once; the
+    declared lengths are validated against the caps *before* the
     header/body reads, so no oversized buffer is ever allocated.
     """
-    prefix = reader.read(FRAME_PREFIX_LEN)
-    if not prefix:
+    magic = reader.read(len(FRAME_MAGIC))
+    if not magic:
         return None
-    header_len, body_len = parse_frame_prefix(prefix)
+    _require(magic == FRAME_MAGIC, f"bad frame magic {magic!r}")
+    header_len, body_len = parse_frame_prefix(
+        magic + reader.read(FRAME_PREFIX_LEN - len(FRAME_MAGIC)))
     header = reader.read(header_len)
     _require(len(header) == header_len,
              f"frame truncated in header ({len(header)}/{header_len} "

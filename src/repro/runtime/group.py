@@ -11,7 +11,7 @@ over it.  Mechanics:
   the group.  Stealing only moves *scheduling*; results are keyed by
   item and merged by integer counters, so any interleaving is
   bit-identical (the fabric's acceptance contract).
-* **Crash containment.**  A lane whose ``execute`` raises
+* **Crash containment.**  A lane whose chunk raises
   :class:`~repro.errors.WorkerCrashError` (child killed, connection
   dropped, budget blown) is evicted: its in-flight item and queued
   backlog are requeued on healthy lanes and ``metrics.worker_crashes``
@@ -193,7 +193,7 @@ class WorkerGroup:
         (default: ``2 * heartbeat_s``); failed probes retry each period.
     max_batch_items:
         How many queued items a dispatcher may drain from its **own**
-        queue into one ``execute_many`` chunk (one wire frame / child
+        queue into one chunk (one wire frame / child
         round-trip per chunk).  ``1`` restores strict item-at-a-time
         dispatch.  Stolen items always execute alone — batching never
         changes which lane runs what, so results stay bit-identical.
@@ -559,7 +559,7 @@ class WorkerGroup:
 
         Items spread across live lanes by current load, landing as
         contiguous runs per lane — which is exactly what lets each
-        dispatcher drain its queue into ``execute_many`` chunks (one
+        dispatcher drain its queue into chunks (one
         wire frame per chunk) instead of paying per-item framing.
         """
         pendings = [_Pending(item) for item in items]
@@ -635,12 +635,18 @@ class WorkerGroup:
     # ------------------------------------------------------------------
     # Dispatch + stealing
     # ------------------------------------------------------------------
-    def _next_pending(self, index: int) -> _Pending | None:
-        """Own queue first, then (if enabled) steal; lock must be held."""
+    def _next_pending(self, index: int, steal: bool) -> _Pending | None:
+        """Own queue first, then (if enabled) steal; lock must be held.
+
+        A dispatcher passes ``steal=False`` while it already has a chunk
+        in flight: pulling a peer's queued item into a second window
+        slot would starve the peer (a 2-0 split of two shards), so only
+        an empty window steals.
+        """
         queue = self._queues[index]
         if queue:
             return queue.popleft()
-        if not self.steal:
+        if not (self.steal and steal):
             return None
         donors = [i for i in range(len(self.workers))
                   if i != index and i not in self._dead
@@ -756,93 +762,19 @@ class WorkerGroup:
         return max(1, min(credit, cap))
 
     def _dispatch(self, index: int) -> None:
-        worker = self.workers[index]
-        if getattr(worker, "pipeline_depth", 1) > 1:
-            self._dispatch_windowed(index, worker)
-        else:
-            self._dispatch_serial(index, worker)
-
-    def _dispatch_serial(self, index: int, worker: Worker) -> None:
-        """Stop-and-wait dispatch: one chunk in flight, blocking."""
-        while True:
-            with self._cond:
-                pending = None
-                removed = False
-                while pending is None:
-                    if self._stopping or index in self._dead:
-                        removed = index in self._removed
-                        break
-                    pending = self._next_pending(index)
-                    if pending is None:
-                        self._cond.wait(timeout=0.1)
-                batch = None
-                ledgered: list[tuple[_Pending, WorkResult]] = []
-                if pending is not None:
-                    batch, ledgered = self._build_batch_locked(index,
-                                                               pending)
-                    self._busy[index] = batch if batch else None
-            for stale, recorded in ledgered:
-                if not stale.future.done():
-                    stale.future.set_result(recorded)
-            if batch is None:
-                if removed:
-                    # Graceful drain: the dispatcher owns the close (an
-                    # in-flight item was allowed to finish first).
-                    worker.close()
-                return
-            if not batch:
-                continue
-            with self._cond:
-                for pending in batch:
-                    pending.attempts += 1
-                    if pending.attempts > 1:
-                        self.metrics.retries += 1
-            if (self.chaos is not None and self._others_alive(index)
-                    and self.chaos.dispatch_fate(worker.name) == "kill"):
-                # Hard-kill the executor, then dispatch anyway: the
-                # execute below fails with the lane's *real* crash
-                # signature (broken child pool, dead socket), driving
-                # the genuine evict → requeue → probation path.
-                worker.kill()
-            try:
-                if len(batch) == 1:
-                    outcomes: list = [worker.execute(batch[0].item)]
-                else:
-                    outcomes = worker.execute_many(
-                        [pending.item for pending in batch])
-                    if (not isinstance(outcomes, list)
-                            or len(outcomes) != len(batch)):
-                        raise WorkerCrashError(
-                            f"worker {worker.name!r} answered "
-                            "a misaligned chunk")
-            except WorkerCrashError as error:
-                self._evict(index, error, in_flight=batch)
-                return
-            except Exception as error:  # noqa: BLE001 — fail the items,
-                # not the group: a task-level error (bad shapes, an
-                # engine bug) leaves the lane healthy.
-                with self._cond:
-                    self._busy[index] = None
-                for pending in batch:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
-            else:
-                with self._cond:
-                    self._busy[index] = None
-                self._settle_chunk(index, worker, batch, outcomes)
-
-    def _dispatch_windowed(self, index: int, worker: Worker) -> None:
-        """Pipelined dispatch: keep up to W chunks in flight.
+        """One lane's dispatch loop: keep up to W chunks in flight.
 
         ``send_chunk`` puts chunk N+1 on the wire (or in the child's
         submission queue) while chunk N computes; ``collect_chunk``
-        reaps strictly in send order.  The window only holds chunks
-        that have actually been *sent* — queued items stay on the
-        lane's deque until the moment of send, so peers steal them
-        exactly as in stop-and-wait.  ``self._busy[index]`` always
+        reaps strictly in send order.  A lane whose window is 1 (every
+        thread lane) is stop-and-wait.  The window only holds chunks
+        that have been pulled for sending — queued items stay on the
+        lane's deque until then, so peers steal them — and only an
+        empty window steals from peers.  ``self._busy[index]`` always
         mirrors the full in-flight window (flattened), and an eviction
         hands the whole window to the requeue machinery in one piece.
         """
+        worker = self.workers[index]
         window: deque[list[_Pending]] = deque()
 
         def _sync_busy_locked() -> None:
@@ -863,7 +795,8 @@ class WorkerGroup:
                         break
                     if len(window) < self._lane_window_locked(index,
                                                               worker):
-                        pending = self._next_pending(index)
+                        pending = self._next_pending(index,
+                                                     steal=not window)
                         if pending is not None:
                             batch, ledgered = self._build_batch_locked(
                                 index, pending)
@@ -871,6 +804,11 @@ class WorkerGroup:
                                 item.attempts += 1
                                 if item.attempts > 1:
                                     self.metrics.retries += 1
+                            if batch:
+                                window.append(batch)
+                                if len(window) > 1:
+                                    self.metrics.pipelined += len(batch)
+                                _sync_busy_locked()
                             break
                     if window:
                         break  # window full or queue empty: collect
@@ -887,9 +825,10 @@ class WorkerGroup:
                 if (self.chaos is not None and self._others_alive(index)
                         and self.chaos.dispatch_fate(worker.name)
                         == "kill"):
-                    # Hard-kill with a window open: the send (or a later
-                    # collect) fails with the lane's real crash
-                    # signature and the WHOLE window requeues.
+                    # Hard-kill the executor, then send anyway: the send
+                    # (or a later collect) fails with the lane's *real*
+                    # crash signature (broken child pool, dead socket)
+                    # and the WHOLE window requeues.
                     worker.kill()
                 try:
                     worker.send_chunk(
@@ -897,21 +836,18 @@ class WorkerGroup:
                 except WorkerCrashError as error:
                     in_flight = [pending for chunk in window
                                  for pending in chunk]
-                    in_flight.extend(batch)
                     self._evict(index, error, in_flight=in_flight)
                     return
                 except Exception as error:  # noqa: BLE001 — task-level
                     # encode failure on a healthy lane: fail the chunk,
                     # keep the lane (and its window) going.
+                    window.pop()
+                    with self._cond:
+                        _sync_busy_locked()
                     for pending in batch:
                         if not pending.future.done():
                             pending.future.set_exception(error)
                     continue
-                window.append(batch)
-                with self._cond:
-                    if len(window) > 1:
-                        self.metrics.pipelined += len(batch)
-                    _sync_busy_locked()
                 _fabric_window_occupancy(worker.name, len(window))
                 continue  # try to fill the window before collecting
             chunk = window[0]
@@ -947,8 +883,7 @@ class WorkerGroup:
         """Park a windowed dispatcher: reap what is already in flight.
 
         Graceful exits (stop, ``remove_lane``) let in-flight chunks
-        finish and resolve normally — matching the serial dispatcher,
-        which only parks between chunks.  A crash mid-drain hands the
+        finish and resolve normally.  A crash mid-drain hands the
         rest of the window to eviction (or fails it outright when the
         group is stopping — there is nowhere left to requeue).
         """
@@ -995,7 +930,7 @@ class WorkerGroup:
                in_flight: _Pending | list[_Pending] | None = None) -> None:
         """Mark a lane dead; requeue its work on healthy lanes.
 
-        Monitor (heartbeat) and dispatcher (failed execute) can both
+        Monitor (heartbeat) and dispatcher (failed chunk) can both
         report the same death; the first caller evicts and drains the
         queue, but the dispatcher's ``in_flight`` item — or whole chunk
         — must be placed either way: dropping one would leave its

@@ -1,11 +1,14 @@
 """Workers: the three interchangeable executors of the fabric.
 
 A :class:`Worker` owns one execution lane — it is started once, receives
-the deployment table once, and then executes one :class:`~repro.runtime.
-work.WorkItem` at a time.  Three kinds ship:
+the deployment table once, and then executes chunks of
+:class:`~repro.runtime.work.WorkItem` through one protocol:
+:meth:`Worker.send_chunk` ships a chunk, :meth:`Worker.collect_chunk`
+returns its per-item outcomes, oldest chunk first.  Three kinds ship:
 
-* :class:`ThreadWorker` — runs items inline on the caller's dispatcher
-  thread.  numpy releases the GIL inside its kernels, so several thread
+* :class:`ThreadWorker` — runs each chunk inline on the group's
+  dispatcher thread, inside ``send_chunk``.  numpy releases the GIL
+  inside its kernels, so several thread
   workers overlap real work; zero serialization cost, shares the
   process-wide warm-engine cache.  Also the ``workers=1`` determinism
   baseline every other executor mix is compared against.
@@ -17,8 +20,8 @@ work.WorkItem` at a time.  Three kinds ship:
   metadata.  Sidesteps the GIL; a killed child surfaces as
   :class:`~repro.errors.WorkerCrashError`, which the group turns into
   eviction + requeue instead of a deadlock.
-* ``RemoteWorker`` (``repro.runtime.remote``) — the same protocol over a
-  JSON-lines TCP connection to a host running ``repro worker --listen``.
+* ``RemoteWorker`` (``repro.runtime.remote``) — the same protocol over an
+  RBF1-framed TCP connection to a host running ``repro worker --listen``.
 
 Spec strings name workers uniformly across the CLI, the sweep driver and
 the serving pool: ``"thread"``, ``"process"``, ``"thread:4"`` /
@@ -47,8 +50,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.runtime.shm import ShmArena, ShmView, attach_view, shm_available
-from repro.runtime.work import (Deployment, WorkItem, WorkResult,
-                                chunk_timeout_s, execute_item)
+from repro.runtime.work import (Deployment, WorkItem, chunk_timeout_s,
+                                execute_item)
 
 __all__ = [
     "ProcessWorker",
@@ -60,7 +63,7 @@ __all__ = [
 
 
 class Worker(abc.ABC):
-    """One execution lane: start, deploy once, execute items, ping."""
+    """One execution lane: start, deploy once, send/collect chunks, ping."""
 
     #: Executor kind ("thread" | "process" | "remote").
     kind: str = "abstract"
@@ -77,9 +80,8 @@ class Worker(abc.ABC):
     chaos = None
 
     #: Largest in-flight chunk window this executor supports.  ``1``
-    #: means stop-and-wait (the dispatcher waits for each chunk before
-    #: shipping the next); executors that implement the split
-    #: :meth:`send_chunk` / :meth:`collect_chunk` path raise it so the
+    #: means stop-and-wait (the dispatcher collects each chunk before
+    #: shipping the next); executors that can overlap raise it so the
     #: group can pipeline encode + transfer of chunk N+1 behind the
     #: compute of chunk N.
     pipeline_depth: int = 1
@@ -96,50 +98,23 @@ class Worker(abc.ABC):
         """Register the deployment table this lane will execute against."""
 
     @abc.abstractmethod
-    def execute(self, item: WorkItem) -> WorkResult:
-        """Run one item; raises :class:`WorkerCrashError` if the lane
-        itself died (process killed, connection dropped, budget blown) —
-        any other :class:`~repro.errors.ReproError` is a task-level
-        failure on a healthy lane."""
-
-    def execute_many(self, items: list[WorkItem]) -> list:
-        """Run a dispatch chunk; returns one :class:`WorkResult` **or**
-        :class:`Exception` per item, aligned with ``items``.
-
-        Task-level failures are returned in place so sibling items in a
-        healthy chunk still complete; a lane death raises
-        :class:`WorkerCrashError` for the whole chunk (results would be
-        lost with the lane anyway — the group requeues everything).
-        Executors that can amortize per-chunk overhead (one wire frame,
-        one child round-trip) override this; the default just loops.
-        """
-        outcomes: list = []
-        for item in items:
-            try:
-                outcomes.append(self.execute(item))
-            except WorkerCrashError:
-                raise
-            except Exception as error:  # noqa: BLE001 — task failure
-                outcomes.append(error)
-        return outcomes
-
     def send_chunk(self, items: list[WorkItem]) -> None:
-        """Ship a chunk without waiting for its outcome (windowed
-        dispatch).  Chunks collect strictly in send order; the caller
-        must keep at most :attr:`pipeline_depth` chunks outstanding.
-        Only meaningful on executors with ``pipeline_depth > 1``.
-        """
-        raise NotImplementedError(
-            f"worker kind {self.kind!r} does not pipeline")
+        """Ship a chunk of any size.  Chunks collect strictly in send
+        order; the caller keeps at most :attr:`pipeline_depth` chunks
+        outstanding.  Raises :class:`WorkerCrashError` if the lane
+        itself died (process killed, connection dropped)."""
 
+    @abc.abstractmethod
     def collect_chunk(self) -> list:
         """Block for the *oldest* outstanding chunk; returns one
-        :class:`WorkResult` or :class:`Exception` per item, aligned
-        with the chunk :meth:`send_chunk` shipped.  A lane death raises
-        :class:`WorkerCrashError` (every outstanding chunk is lost with
-        the lane — the group requeues the whole window)."""
-        raise NotImplementedError(
-            f"worker kind {self.kind!r} does not pipeline")
+        :class:`WorkResult` **or** :class:`Exception` per item, aligned
+        with the chunk :meth:`send_chunk` shipped.
+
+        Task-level failures come back in place so sibling items in a
+        healthy chunk still complete; a lane death (or a blown chunk
+        deadline) raises :class:`WorkerCrashError` — every outstanding
+        chunk is lost with the lane, and the group requeues the whole
+        window."""
 
     def ping(self, timeout_s: float = 5.0) -> bool:
         """Liveness probe; ``False``/``WorkerCrashError`` marks the lane
@@ -151,7 +126,7 @@ class Worker(abc.ABC):
 
         Unlike :meth:`close`, this models a *failure*, not a shutdown:
         the executor dies the way a real one would (SIGKILLed child,
-        severed socket) so the next ``execute``/``ping`` surfaces
+        severed socket) so the next chunk or ``ping`` surfaces
         :class:`WorkerCrashError` and the group's eviction + requeue
         machinery runs for real.  Default: ``close()`` — good enough
         for lanes whose next use fails once resources are gone.
@@ -163,13 +138,19 @@ class Worker(abc.ABC):
 
 
 class ThreadWorker(Worker):
-    """Inline execution on the group's dispatcher thread."""
+    """Inline execution on the group's dispatcher thread.
+
+    ``send_chunk`` runs the whole chunk and keeps its outcomes until
+    ``collect_chunk`` hands them over, so the lane is stop-and-wait
+    (``pipeline_depth`` 1).
+    """
 
     kind = "thread"
 
     def __init__(self, name: str = "thread") -> None:
         super().__init__(name)
         self._deployments: list[Deployment] = []
+        self._outcomes: list | None = None
         self._killed = False
 
     def start(self) -> None:
@@ -179,18 +160,32 @@ class ThreadWorker(Worker):
     def deploy(self, deployments: list[Deployment]) -> None:
         self._deployments = list(deployments)
 
-    def execute(self, item: WorkItem) -> WorkResult:
+    def send_chunk(self, items: list[WorkItem]) -> None:
         if self._killed:
             raise WorkerCrashError(
                 f"worker {self.name!r} was killed (chaos)")
-        return execute_item(self._deployments, item, worker=self.name)
+        outcomes: list = []
+        for item in items:
+            try:
+                outcomes.append(execute_item(self._deployments, item,
+                                             worker=self.name))
+            except Exception as error:  # noqa: BLE001 — task failure
+                outcomes.append(error)
+        self._outcomes = outcomes
+
+    def collect_chunk(self) -> list:
+        outcomes, self._outcomes = self._outcomes, None
+        if outcomes is None:
+            raise WorkerCrashError(
+                f"worker {self.name!r} has no chunk in flight")
+        return outcomes
 
     def ping(self, timeout_s: float = 5.0) -> bool:
         return not self._killed
 
     def kill(self) -> None:
         # An inline lane has no process to SIGKILL; the flag makes the
-        # next execute/ping crash the same way a dead one would.
+        # next chunk/ping crash the same way a dead one would.
         self._killed = True
 
 
@@ -398,16 +393,6 @@ class ProcessWorker(Worker):
                 attrs["worker"] = self.name
         return result
 
-    def execute(self, item: WorkItem) -> WorkResult:
-        outcome = self.execute_many([item])[0]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def execute_many(self, items: list[WorkItem]) -> list:
-        self.send_chunk(items)
-        return self.collect_chunk()
-
     def send_chunk(self, items: list[WorkItem]) -> None:
         """Pack a chunk into the idle arena slot and submit it to the
         child without waiting; the single-child pool executes chunks
@@ -490,7 +475,7 @@ class ProcessWorker(Worker):
 
     def kill(self) -> None:
         # The real failure mode: SIGKILL the child, leaving the broken
-        # pool in place so the next execute raises BrokenProcessPool →
+        # pool in place so the next chunk raises BrokenProcessPool →
         # WorkerCrashError and the group's crash path runs end to end.
         if self.pid is not None:
             try:

@@ -17,6 +17,12 @@ Two arrival disciplines ship, both reproducible run to run:
   trace — which is what makes a latency regression comparable across
   runs (``repro loadgen --arrival poisson --seed 7``).
 
+Latency is timed from each request's *scheduled* arrival, not from
+when its task got to run, so a stalled generator (a ``submit`` that
+blocks the event loop, a busy host) shows up in the latencies it
+causes; the report also carries the generator's own lateness — how far
+behind schedule each request actually went out.
+
 The ``submit`` callable is either ``InferenceServer.submit`` (in-process
 measurement, no transport noise) or ``TcpClient.infer`` (end-to-end over
 the wire); the generator only assumes ``await submit(image) -> result``.
@@ -64,6 +70,9 @@ class LoadReport:
     deployment: str | None = None
     arrival: str = "even"
     seed: int = 0
+    #: How far behind its scheduled arrival each request went out.
+    lateness_mean_ms: float = 0.0
+    lateness_p99_ms: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -77,6 +86,8 @@ class LoadReport:
             "deployment": self.deployment,
             "arrival": self.arrival,
             "seed": self.seed,
+            "lateness_mean_ms": self.lateness_mean_ms,
+            "lateness_p99_ms": self.lateness_p99_ms,
         }
 
 
@@ -138,13 +149,16 @@ class LoadGenerator:
         offsets = np.cumsum(gaps)
         return offsets - offsets[0] if count else offsets
 
-    async def _timed_submit(self, image):
-        started = time.perf_counter()
+    async def _timed_submit(self, image, due: float, lateness: list):
+        """Submit one request; its latency runs from ``due``, the
+        scheduled arrival, and its lateness (send time minus ``due``)
+        is appended to ``lateness`` whether or not it succeeds."""
+        lateness.append((time.perf_counter() - due) * 1e3)
         if self.deployment is not None:
             result = await self.submit(image, deployment=self.deployment)
         else:
             result = await self.submit(image)
-        return result, (time.perf_counter() - started) * 1e3
+        return result, (time.perf_counter() - due) * 1e3
 
     @staticmethod
     def _trace_id_of(result) -> str | None:
@@ -183,11 +197,14 @@ class LoadGenerator:
         offsets = self.arrival_offsets(len(images))
         started = time.perf_counter()
         tasks = []
+        lateness: list[float] = []
         for image, offset in zip(images, offsets):
-            delay = started + offset - time.perf_counter()
+            due = started + offset
+            delay = due - time.perf_counter()
             if delay > 0:
                 await asyncio.sleep(delay)
-            tasks.append(asyncio.create_task(self._timed_submit(image)))
+            tasks.append(asyncio.create_task(
+                self._timed_submit(image, due, lateness)))
         settled = await asyncio.gather(*tasks, return_exceptions=True)
         wall = time.perf_counter() - started
 
@@ -204,6 +221,7 @@ class LoadGenerator:
         completed = len(latencies)
         if self.latency_out:
             self._write_latency_records(results, errors, settled)
+        late = _percentiles(lateness)
         return LoadReport(
             offered_rps=self.rate_rps,
             achieved_rps=completed / wall if wall else 0.0,
@@ -217,4 +235,6 @@ class LoadGenerator:
             deployment=self.deployment,
             arrival=self.arrival,
             seed=self.seed,
+            lateness_mean_ms=late["mean"],
+            lateness_p99_ms=late["p99"],
         )

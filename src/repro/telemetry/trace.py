@@ -11,9 +11,9 @@ spike counts.
 Context crosses every boundary the fabric has as a two-key dict
 (:meth:`Span.context` → ``{"trace_id", "span_id"}``): it rides the
 serve TCP protocol and the worker protocol as a ``trace`` field of the
-request payload — which means it is carried natively by **both** frame
-protocols (JSON lines and binary ``RBF1``, whose header is the payload
-JSON), so remote lanes and ``--join`` workers land in the same trace.
+request payload — which means it rides natively in the JSON header of
+every ``RBF1`` frame, so remote lanes and ``--join`` workers land in
+the same trace.
 Worker-side spans return in the reply (``spans`` field /
 ``WorkResult.spans``) and are merged into the caller's recorder.
 

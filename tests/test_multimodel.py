@@ -17,8 +17,9 @@ The contracts pinned here:
   bit-identically to the serial single-process result;
 * the trusted-fabric TCP protocol optionally requires a shared-secret
   token: unauthenticated payloads are rejected before any pickled blob
-  is touched, and garbage/version-skewed frames answer structured errors
-  without killing the connection;
+  is touched, well-formed frames with bad payloads answer structured
+  errors without killing the connection, and bytes that are not a frame
+  get one ``CodecError`` reply and a hang-up;
 * the load generator's arrival schedule is a pure function of
   ``(rate, arrival, seed)`` — identical offered-load traces across runs.
 """
@@ -58,8 +59,9 @@ from repro.runtime import (
     attach_token,
     check_token,
     create_workers,
-    encode_line,
+    encode_frame,
     join_fabric,
+    read_frame,
 )
 from repro.serve import InferenceServer, LoadGenerator, TcpClient, \
     start_tcp_server
@@ -201,12 +203,14 @@ class TestMultiModelGroup:
             worker.start()
             try:
                 worker.deploy([deployment])
-                with pytest.raises(DeploymentError):
-                    worker.execute(WorkItem(item_id=0, deployment=3,
-                                            images=images))
+                worker.send_chunk([WorkItem(item_id=0, deployment=3,
+                                            images=images)])
+                [outcome] = worker.collect_chunk()
+                assert isinstance(outcome, DeploymentError)
                 # Typed task error, healthy lane: valid work still runs.
-                result = worker.execute(WorkItem(item_id=1, deployment=0,
-                                                 images=images))
+                worker.send_chunk([WorkItem(item_id=1, deployment=0,
+                                            images=images)])
+                [result] = worker.collect_chunk()
                 assert result.logits.shape[0] == 2
             finally:
                 worker.close()
@@ -726,8 +730,9 @@ class TestFabricToken:
             try:
                 good.deploy([deployment])
                 images = rng.random((2,) + deployment.network.input_shape)
-                result = good.execute(WorkItem(item_id=0, deployment=0,
-                                               images=images))
+                good.send_chunk([WorkItem(item_id=0, deployment=0,
+                                          images=images)])
+                [result] = good.collect_chunk()
                 np.testing.assert_array_equal(
                     result.predictions,
                     direct_predictions(deployment.network, images))
@@ -784,36 +789,43 @@ class TestFabricToken:
             group.stop()
 
 
+def exchange(sock, reader, payload: dict, arrays=None) -> dict:
+    """One raw request frame to a WorkerServer; returns the reply."""
+    sock.sendall(encode_frame(payload, arrays))
+    reply, _ = read_frame(reader)
+    return reply
+
+
 class TestCodecEdgeCases:
     def test_garbage_and_skewed_frames_answer_structured_errors(
             self, rng):
-        """A live WorkerServer survives hostile frames, answering each."""
+        """Well-formed frames with bad payloads each answer a typed
+        error, and the connection keeps serving."""
         deployment = deployment_for(alpha_network(rng))
         with WorkerServer() as server:
             sock = socket.create_connection(("127.0.0.1", server.port),
                                             timeout=10)
             try:
                 reader = sock.makefile("rb")
-                # Garbage bytes: structured JSON error, not a hangup.
-                sock.sendall(b"this is not json\n")
-                reply = json.loads(reader.readline())
+                # Garbage where the chunk's item list should be.
+                reply = exchange(sock, reader, {"op": "execute_many",
+                                                "items": "garbage"})
                 assert reply["ok"] is False
                 assert reply["error"]["type"] and reply["error"]["message"]
-                # Version-skewed frame (deploy without its blob field).
-                sock.sendall(encode_line({"op": "deploy"}))
-                reply = json.loads(reader.readline())
+                # Version-skewed request (deploy without its blob field).
+                reply = exchange(sock, reader, {"op": "deploy"})
                 assert reply["ok"] is False
-                # Non-object JSON.
-                sock.sendall(b"[1, 2, 3]\n")
-                reply = json.loads(reader.readline())
-                assert reply["ok"] is False
+                # Items that are not JSON objects fail one by one.
+                reply = exchange(sock, reader, {"op": "execute_many",
+                                                "items": [1, 2, 3]})
+                assert [entry["ok"] for entry in reply["results"]] == \
+                    [False] * 3
                 # Unknown op.
-                sock.sendall(encode_line({"op": "teleport"}))
-                reply = json.loads(reader.readline())
+                reply = exchange(sock, reader, {"op": "teleport"})
                 assert reply["ok"] is False
+                assert reply["error"]["type"] == "ValueError"
                 # The connection still serves real work afterwards.
-                sock.sendall(encode_line({"op": "ping"}))
-                assert json.loads(reader.readline())["ok"] is True
+                assert exchange(sock, reader, {"op": "ping"})["ok"] is True
             finally:
                 sock.close()
         # And a real lane on the same protocol still round-trips.
@@ -833,14 +845,31 @@ class TestCodecEdgeCases:
                                             timeout=10)
             try:
                 reader = sock.makefile("rb")
-                sock.sendall(encode_line(
-                    {"op": "execute", "item_id": 1, "deployment": 0,
-                     "images": {"dtype": "float64", "shape": [0],
-                                "data": ""}}))
-                reply = json.loads(reader.readline())
+                reply = exchange(
+                    sock, reader,
+                    {"op": "execute_many",
+                     "items": [{"item_id": 1, "deployment": 0}]},
+                    {"images:0": np.zeros((0, 1, 8, 8))})
+                [entry] = reply["results"]
+                assert entry["ok"] is False
+                assert entry["error"]["type"] == "DeploymentError"
+                assert "deploy" in entry["error"]["message"]
+                assert exchange(sock, reader, {"op": "ping"})["ok"] is True
+            finally:
+                sock.close()
+
+    def test_json_line_gets_one_codec_error_then_eof(self):
+        """Bytes that are not a frame: one typed reply, then a hang-up."""
+        with WorkerServer() as server:
+            sock = socket.create_connection(("127.0.0.1", server.port),
+                                            timeout=10)
+            try:
+                reader = sock.makefile("rb")
+                sock.sendall(b'{"op": "ping"}\n')
+                reply, _ = read_frame(reader)
                 assert reply["ok"] is False
-                assert reply["error"]["type"] == "DeploymentError"
-                assert "deploy" in reply["error"]["message"]
+                assert reply["error"]["type"] == "CodecError"
+                assert read_frame(reader) is None  # clean EOF
             finally:
                 sock.close()
 

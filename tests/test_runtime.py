@@ -19,7 +19,9 @@ The contracts pinned here:
 
 import os
 import signal
+import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -38,12 +40,12 @@ from repro.runtime import (
     RemoteWorker,
     ThreadWorker,
     WorkItem,
+    WorkResult,
+    Worker,
     WorkerGroup,
     WorkerServer,
     create_workers,
-    decode_array,
     decode_blob,
-    encode_array,
     encode_blob,
     normalize_worker_specs,
 )
@@ -77,15 +79,13 @@ def run_group(workers, deployment, items, **group_kwargs):
     return results, metrics
 
 
-class TestCodec:
-    def test_array_roundtrip_bit_identical(self, rng):
-        for array in (rng.random((3, 1, 8, 8)),
-                      rng.integers(-5, 99, size=(4, 5)),
-                      np.zeros((2, 0, 3))):
-            restored = decode_array(encode_array(array))
-            assert restored.dtype == array.dtype
-            np.testing.assert_array_equal(restored, array)
+def run_chunk(worker, items):
+    """One chunk through a started lane's send/collect protocol."""
+    worker.send_chunk(items)
+    return worker.collect_chunk()
 
+
+class TestCodec:
     def test_blob_roundtrip_carries_deployments(self, rng):
         deployment = tiny_deployment(rng)
         restored = decode_blob(encode_blob([deployment]))[0]
@@ -315,11 +315,12 @@ class TestRemoteProtocol:
             worker = RemoteWorker("127.0.0.1", server.port)
             worker.start()
             try:
-                with pytest.raises(DeploymentError):
-                    worker.execute(make_items(rng, deployment, 1)[0])
+                [outcome] = run_chunk(worker,
+                                      make_items(rng, deployment, 1))
+                assert isinstance(outcome, DeploymentError)
                 # The lane survives a task error and deploys fine after.
                 worker.deploy([deployment])
-                result = worker.execute(make_items(rng, deployment, 1)[0])
+                [result] = run_chunk(worker, make_items(rng, deployment, 1))
                 assert result.logits.shape[0] == 3
             finally:
                 worker.close()
@@ -443,13 +444,83 @@ class TestChunkTimeouts:
                               timeout_s=1e-9)
                      for i in range(2)]
             with pytest.raises(WorkerCrashError):
-                worker.execute_many(items)
+                run_chunk(worker, items)
         finally:
             worker.close()
 
 
+class _ScriptedLane(Worker):
+    """A lane the test drives by hand: it records every chunk it is
+    sent and answers only once ``release`` is set (``gate_send`` holds
+    the send itself, modelling a lane busy on its first chunk)."""
+
+    def __init__(self, name: str, depth: int, gate_send: bool = False):
+        super().__init__(name)
+        self.pipeline_depth = depth
+        self.gate_send = gate_send
+        self.sent: list[list[int]] = []
+        self.release = threading.Event()
+        self.in_send = threading.Event()
+        self.in_collect = threading.Event()
+        self._flights: deque = deque()
+
+    def start(self) -> None:
+        pass
+
+    def deploy(self, deployments) -> None:
+        pass
+
+    def send_chunk(self, items) -> None:
+        self.sent.append([item.item_id for item in items])
+        self._flights.append(items)
+        self.in_send.set()
+        if self.gate_send:
+            assert self.release.wait(30)
+
+    def collect_chunk(self) -> list:
+        self.in_collect.set()
+        assert self.release.wait(30)
+        return [WorkResult(item_id=item.item_id,
+                           logits=np.zeros((item.num_images, 2),
+                                           dtype=np.int64),
+                           image_traces=[], elapsed_s=0.0,
+                           worker=self.name)
+                for item in self._flights.popleft()]
+
+
 class TestWindowedDispatch:
     """Pipelined lanes: send/collect split, credits, telemetry."""
+
+    def test_only_an_empty_window_steals(self):
+        """A lane with a chunk in flight must not pull a busy peer's
+        only queued item into its second window slot."""
+        deep = _ScriptedLane("deep", depth=2)
+        busy = _ScriptedLane("busy", depth=1, gate_send=True)
+
+        def item(item_id):
+            return WorkItem(item_id=item_id, deployment=0,
+                            images=np.zeros((1, 1, 2, 2)))
+
+        group = WorkerGroup([deep, busy], deployments=[], window=2,
+                            max_batch_items=1, heartbeat_s=60.0)
+        # Queued before the dispatchers exist, so each lane's first pull
+        # is its own: deep sends item 2, busy gets stuck sending item 0
+        # and item 1 waits on busy's queue.
+        own = group.submit(item(2), worker=0)
+        first = group.submit(item(0), worker=1)
+        queued = group.submit(item(1), worker=1)
+        with group:
+            assert busy.in_send.wait(30)
+            # With item 2 in flight and its own queue empty, deep goes
+            # to collect instead of taking busy's queued item.
+            assert deep.in_collect.wait(30)
+            assert deep.sent == [[2]]
+            busy.release.set()
+            assert queued.result(timeout=30).worker == "busy"
+            deep.release.set()
+            assert own.result(timeout=30).worker == "deep"
+            assert first.result(timeout=30).worker == "busy"
+            assert group.metrics.stolen == 0
 
     def test_windowed_process_lane_bit_identical(self, rng):
         deployment = tiny_deployment(rng)

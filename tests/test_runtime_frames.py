@@ -7,14 +7,13 @@ The contracts pinned here:
   :class:`~repro.errors.CodecError` *before* allocating a buffer for
   it (truncations, oversized length prefixes, dtype smuggling,
   out-of-bounds descriptors);
-* framing is negotiated per connection and purely an optimization:
-  binary lanes, forced-JSON lanes and mixed groups of both merge
-  bit-identically (old peers simply never leave JSON);
+* frames are the only wire format, from the first byte of a connection:
+  remote lanes merge bit-identically to an in-process lane;
 * the shared-memory lane of :class:`ProcessWorker` is equally inert:
   ``REPRO_NO_SHM=1`` (the pickle path) produces the same bits;
-* batched submission (``submit_many``/``execute_many``) returns the
-  same results as item-at-a-time dispatch, with per-item task errors
-  failing only their own future.
+* batched submission (``submit_many`` into ``execute_many`` chunks)
+  returns the same results as item-at-a-time dispatch, with per-item
+  task errors failing only their own future.
 """
 
 import io
@@ -23,6 +22,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CodecError, DeploymentError
 from repro.runtime import (
@@ -39,6 +40,7 @@ from repro.runtime import (
     shm_available,
 )
 from repro.runtime.codec import (
+    _WIRE_DTYPES,
     FRAME_MAGIC,
     FRAME_PREFIX_LEN,
     MAX_BODY_BYTES,
@@ -71,6 +73,16 @@ class TestBinaryFrameRoundtrip:
         for name, array in arrays.items():
             np.testing.assert_array_equal(decoded[name], array)
             assert decoded[name].dtype == array.dtype
+
+    def test_int_and_empty_arrays_roundtrip(self, rng):
+        for array in (rng.integers(-5, 99, size=(4, 5)),
+                      np.zeros((2, 0, 3)),
+                      np.zeros((0, 1, 8, 8))):
+            _, decoded = read_frame(io.BytesIO(
+                encode_frame({}, {"x": array})))
+            assert decoded["x"].dtype == array.dtype
+            assert decoded["x"].shape == array.shape
+            np.testing.assert_array_equal(decoded["x"], array)
 
     def test_raw_arrays_are_zero_copy_views(self, rng):
         array = rng.random((4, 4))
@@ -215,6 +227,71 @@ class TestHostileFrames:
             decode_frame(raw, b"")
 
 
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(1 << 70), 1 << 70),
+              st.floats(allow_nan=False), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+_SMALL_INT = st.one_of(st.integers(-4, 96), _JSON)
+_DESCRIPTOR = st.fixed_dictionaries({}, optional={
+    "dtype": st.one_of(st.sampled_from(sorted(_WIRE_DTYPES)
+                                       + ["object", "V8", "<f8"]), _JSON),
+    "shape": st.one_of(st.lists(st.one_of(st.integers(0, 8),
+                                          st.integers(-2, 1 << 66)),
+                                max_size=4), _JSON),
+    "enc": st.one_of(st.sampled_from(["raw", "coo"]), _JSON),
+    "offset": _SMALL_INT, "nbytes": _SMALL_INT, "count": _SMALL_INT,
+    "index_offset": _SMALL_INT, "index_nbytes": _SMALL_INT,
+})
+_HEADER = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda obj: json.dumps(obj).encode(), _JSON),
+    st.builds(lambda payload, arrays: json.dumps(
+        {"payload": payload, "arrays": arrays}).encode(),
+        st.one_of(st.dictionaries(st.text(max_size=4), _JSON,
+                                  max_size=3), _JSON),
+        st.one_of(st.dictionaries(st.text(max_size=4),
+                                  st.one_of(_DESCRIPTOR, _JSON),
+                                  max_size=3), _JSON)))
+
+
+def _decodes_or_codec_error(call):
+    """Run ``call``; a frame, ``None`` or a CodecError are the only
+    outcomes a wire decoder may have."""
+    try:
+        outcome = call()
+    except CodecError:
+        return
+    assert outcome is None or (isinstance(outcome, tuple)
+                               and isinstance(outcome[0], dict)
+                               and isinstance(outcome[1], dict))
+
+
+class TestCodecFuzz:
+    """Every byte that reaches either socket is parsed by the codec: on
+    any input it yields a frame, ``None`` at clean EOF, or a typed
+    :class:`CodecError` — never any other exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=128),
+                          st.builds(lambda tail: FRAME_MAGIC + tail,
+                                    st.binary(max_size=128))))
+    def test_read_frame_on_arbitrary_bytes(self, data):
+        _decodes_or_codec_error(lambda: read_frame(io.BytesIO(data)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(header=_HEADER, body=st.binary(max_size=96))
+    def test_decode_frame_on_arbitrary_header_and_body(self, header,
+                                                       body):
+        _decodes_or_codec_error(lambda: decode_frame(header, body))
+        # The same bytes behind a well-formed prefix take the stream path.
+        stream = _PREFIX.pack(FRAME_MAGIC, len(header), len(body))
+        _decodes_or_codec_error(
+            lambda: read_frame(io.BytesIO(stream + header + body)))
+
+
 class TestFrameNegotiation:
     def test_binary_negotiated_by_default(self, rng):
         deployment = tiny_deployment(rng)
@@ -224,70 +301,11 @@ class TestFrameNegotiation:
         try:
             worker = RemoteWorker("127.0.0.1", server.port)
             results, _ = run_group([worker], deployment, items)
-            assert worker.binary is False  # reset on close
             for base, other in zip(baseline, results):
                 np.testing.assert_array_equal(base.logits, other.logits)
                 assert base.merged_trace() == other.merged_trace()
         finally:
             server.close()
-
-    def test_client_can_force_json(self, rng):
-        deployment = tiny_deployment(rng)
-        items = make_items(rng, deployment, count=3)
-        baseline, _ = run_group([ThreadWorker()], deployment, items)
-        server = WorkerServer().start()
-        try:
-            worker = RemoteWorker("127.0.0.1", server.port,
-                                  frames="json")
-            worker.start()
-            assert worker.binary is False
-            results, _ = run_group([worker], deployment, items)
-            for base, other in zip(baseline, results):
-                np.testing.assert_array_equal(base.logits, other.logits)
-        finally:
-            server.close()
-
-    def test_json_server_declines_binary(self, rng):
-        deployment = tiny_deployment(rng)
-        items = make_items(rng, deployment, count=2)
-        baseline, _ = run_group([ThreadWorker()], deployment, items)
-        server = WorkerServer(frames="json").start()
-        try:
-            worker = RemoteWorker("127.0.0.1", server.port)
-            worker.start()
-            assert worker.binary is False
-            results, _ = run_group([worker], deployment, items)
-            for base, other in zip(baseline, results):
-                np.testing.assert_array_equal(base.logits, other.logits)
-        finally:
-            server.close()
-
-    def test_mixed_binary_and_json_group_bit_exact(self, rng):
-        """One binary lane + one forced-JSON lane in the same group —
-        the CI zero-copy smoke: framing must never show in the merge."""
-        deployment = tiny_deployment(rng)
-        items = make_items(rng, deployment, count=6)
-        baseline, _ = run_group([ThreadWorker()], deployment, items)
-        server = WorkerServer().start()
-        try:
-            binary_worker = RemoteWorker("127.0.0.1", server.port,
-                                         name="lane-binary")
-            json_worker = RemoteWorker("127.0.0.1", server.port,
-                                       name="lane-json", frames="json")
-            results, metrics = run_group([binary_worker, json_worker],
-                                         deployment, items)
-            for base, other in zip(baseline, results):
-                np.testing.assert_array_equal(base.logits, other.logits)
-                assert base.merged_trace() == other.merged_trace()
-            assert sum(metrics.executed.values()) == len(items)
-        finally:
-            server.close()
-
-    def test_bad_frames_value_rejected(self):
-        with pytest.raises(ValueError):
-            RemoteWorker("127.0.0.1", 1, frames="msgpack")
-        with pytest.raises(ValueError):
-            WorkerServer(frames="msgpack")
 
 
 class TestShmLane:

@@ -20,6 +20,7 @@ No pytest-asyncio in the toolchain: tests drive coroutines with
 
 import asyncio
 import json
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from repro.errors import (
     ShapeError,
 )
 from repro.models import performance_network
+from repro.runtime import decode_frame, encode_frame, parse_frame_prefix
+from repro.runtime.codec import FRAME_PREFIX_LEN
 from repro.serve import (
     DeadlinePolicy,
     EnginePool,
@@ -705,6 +708,24 @@ class TestLoadGenerator:
         assert [r for r in report.results if r is not None] == ["ok"] * 3
         assert sum(1 for e in report.errors if e is not None) == 3
 
+    def test_stalled_generator_counts_against_latency(self):
+        """A submit that blocks the event loop delays every later
+        arrival; latency runs from the schedule, so the stall shows."""
+        async def blocking(image):
+            time.sleep(0.02)       # holds the loop: no await before it
+            return image
+
+        report = asyncio.run(
+            LoadGenerator(blocking, rate_rps=1000.0).run(range(10)))
+        assert report.completed == 10
+        # Request k was due at k ms but went out near 20k ms.
+        assert report.lateness_p99_ms > 100.0
+        assert report.lateness_mean_ms > 50.0
+        # A task-start clock would read ~20 ms for every request.
+        assert report.client_latency_ms["max"] > 150.0
+        assert report.to_dict()["lateness_p99_ms"] == \
+            report.lateness_p99_ms
+
 
 class TestTcpTransport:
     def test_roundtrip_metrics_and_errors(self, rng):
@@ -735,8 +756,14 @@ class TestTcpTransport:
         assert metrics["completed"] == 5
 
     def test_malformed_requests_get_error_replies(self, rng):
-        """Every bad line answers — a pipelining client must never hang."""
+        """Every bad request answers — a pipelining client must never
+        hang."""
         net = tiny_network(rng)
+        image = tiny_images(rng, net, 1)[0]
+        requests = [({"id": 1}, None),                 # no image, no op
+                    ({"id": 2, "image": None}, None),  # image not an array
+                    ({"id": 3, "priority": "high"}, {"image": image}),
+                    ({"id": 4}, {"image": np.zeros((2, 2))})]
 
         async def main():
             async with InferenceServer(net) as server:
@@ -744,16 +771,12 @@ class TestTcpTransport:
                 try:
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", port)
-                    lines = [b"not json at all\n",
-                             b"5\n",  # valid JSON, not an object
-                             b'{"id": 1, "image": null}\n',
-                             b'{"id": 2, "image": {"a": 1}}\n',
-                             b'{"id": 3}\n']
-                    writer.write(b"".join(lines))
+                    writer.write(b"".join(encode_frame(payload, arrays)
+                                          for payload, arrays in requests))
                     await writer.drain()
-                    replies = [json.loads(await asyncio.wait_for(
-                        reader.readline(), timeout=5))
-                        for _ in lines]
+                    replies = [await asyncio.wait_for(
+                        read_reply(reader), timeout=5)
+                        for _ in requests]
                     writer.close()
                     await writer.wait_closed()
                     return replies
@@ -764,7 +787,7 @@ class TestTcpTransport:
         replies = asyncio.run(main())
         assert all("error" in reply for reply in replies)
         answered_ids = {reply["id"] for reply in replies}
-        assert {1, 2, 3} <= answered_ids  # errors carry the request id
+        assert answered_ids == {1, 2, 3, 4}  # errors carry the request id
 
     def test_transport_requires_running_server(self, rng):
         net = tiny_network(rng)
@@ -799,11 +822,46 @@ class TestTcpTransport:
         asyncio.run(main())
 
 
-class TestTcpFrameNegotiation:
-    """Binary frames on the serving transport: negotiated, optional,
-    invisible in the results."""
+async def read_reply(reader: asyncio.StreamReader) -> dict:
+    """One frame's payload off a raw asyncio stream."""
+    header_len, body_len = parse_frame_prefix(
+        await reader.readexactly(FRAME_PREFIX_LEN))
+    payload, _ = decode_frame(await reader.readexactly(header_len),
+                              await reader.readexactly(body_len))
+    return payload
 
-    def test_binary_negotiated_and_matches_json_client(self, rng):
+
+class TestTcpFrameNegotiation:
+    """RBF1 frames are the serving transport's only wire format."""
+
+    def test_json_line_gets_one_codec_error_then_eof(self, rng):
+        net = tiny_network(rng)
+
+        async def main():
+            async with InferenceServer(net) as server:
+                tcp, port = await start_tcp_server(server)
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port)
+                    writer.write(b'{"op": "ping", "id": 1}\n')
+                    await writer.drain()
+                    reply = await asyncio.wait_for(read_reply(reader),
+                                                   timeout=5)
+                    tail = await asyncio.wait_for(reader.read(),
+                                                  timeout=5)
+                    writer.close()
+                    await writer.wait_closed()
+                    return reply, tail
+                finally:
+                    tcp.close()
+                    await tcp.wait_closed()
+
+        reply, tail = asyncio.run(main())
+        assert reply["error"]["type"] == "CodecError"
+        assert reply["id"] is None
+        assert tail == b""  # then the server hung up
+
+    def test_framed_logits_match_direct_run(self, rng):
         net = tiny_network(rng)
         images = tiny_images(rng, net, 4)
         logits, _ = direct_run(net, images)
@@ -812,44 +870,16 @@ class TestTcpFrameNegotiation:
             async with InferenceServer(net, max_batch=4) as server:
                 tcp, port = await start_tcp_server(server)
                 try:
-                    async with TcpClient(port=port) as fast, \
-                            TcpClient(port=port, frames="json") as slow:
-                        assert fast.binary is True
-                        assert slow.binary is False
-                        fast_replies = await asyncio.gather(
-                            *(fast.infer(image) for image in images))
-                        slow_replies = await asyncio.gather(
-                            *(slow.infer(image) for image in images))
-                        return fast_replies, slow_replies
-                finally:
-                    tcp.close()
-                    await tcp.wait_closed()
-
-        fast_replies, slow_replies = asyncio.run(main())
-        for fast_reply, slow_reply, expected in zip(
-                fast_replies, slow_replies, logits):
-            assert fast_reply["logits"] == slow_reply["logits"]
-            np.testing.assert_array_equal(fast_reply["logits"], expected)
-            assert fast_reply["prediction"] == int(expected.argmax())
-
-    def test_json_pinned_server_declines_binary(self, rng):
-        net = tiny_network(rng)
-        image = tiny_images(rng, net, 1)[0]
-        logits, _ = direct_run(net, image[np.newaxis])
-
-        async def main():
-            async with InferenceServer(net) as server:
-                tcp, port = await start_tcp_server(server, frames="json")
-                try:
                     async with TcpClient(port=port) as client:
-                        assert client.binary is False
-                        return await client.infer(image)
+                        return await asyncio.gather(
+                            *(client.infer(image) for image in images))
                 finally:
                     tcp.close()
                     await tcp.wait_closed()
 
-        reply = asyncio.run(main())
-        np.testing.assert_array_equal(reply["logits"], logits[0])
+        for reply, expected in zip(asyncio.run(main()), logits):
+            np.testing.assert_array_equal(reply["logits"], expected)
+            assert reply["prediction"] == int(expected.argmax())
 
     def test_binary_errors_still_typed(self, rng):
         """Typed server errors survive the binary framing."""
@@ -860,7 +890,6 @@ class TestTcpFrameNegotiation:
                 tcp, port = await start_tcp_server(server)
                 try:
                     async with TcpClient(port=port) as client:
-                        assert client.binary is True
                         with pytest.raises(ServeError):
                             await client.infer(np.zeros((2, 2)))
                         assert await client.ping()

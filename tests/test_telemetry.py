@@ -458,16 +458,17 @@ class TestSatellites:
         assert policy.summary()["by_site"] == {"dispatch:kill": 1}
 
     def test_codec_byte_counters(self):
-        from repro.runtime.codec import encode_frame, encode_line
-        encode_line({"op": "ping"})
-        encode_frame({"payload": True},
-                     {"x": np.zeros((4, 4), dtype=np.float64)})
+        from repro.runtime.codec import decode_frame, encode_frame
+        frame = encode_frame({"payload": True},
+                             {"x": np.zeros((4, 4), dtype=np.float64)})
+        header_len = int.from_bytes(frame[4:8], "little")
+        decode_frame(frame[16:16 + header_len], frame[16 + header_len:])
         series = get_registry().to_dict()[
             "repro_codec_bytes_total"]["series"]
         by_labels = {(s["labels"]["direction"], s["labels"]["encoding"]):
                      s["value"] for s in series}
-        assert by_labels[("sent", "json")] > 0
         assert by_labels[("sent", "binary")] >= 128  # the array body
+        assert by_labels[("received", "binary")] == len(frame)
 
     def test_server_metrics_snapshot_shape_unchanged(self):
         """Feeding the registry must not change the legacy snapshot."""
