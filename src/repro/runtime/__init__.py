@@ -32,9 +32,7 @@ Quick tour::
 from repro.runtime.codec import (
     attach_token,
     check_token,
-    decode_blob,
     decode_frame,
-    encode_blob,
     encode_frame,
     fabric_auth,
     parse_frame_prefix,
@@ -89,9 +87,7 @@ __all__ = [
     "attach_token",
     "check_token",
     "create_workers",
-    "decode_blob",
     "decode_frame",
-    "encode_blob",
     "encode_frame",
     "execute_item",
     "fabric_auth",

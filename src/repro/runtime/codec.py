@@ -29,16 +29,22 @@ connection fail typed, but cannot make it allocate gigabytes or
 interpret bytes as objects.  Bytes that are not a frame at all (a JSON
 line, garbage) fail on the magic.
 
-:func:`encode_blob` / :func:`decode_blob` carry an arbitrary picklable
-object (deployment specs: quantized networks, configs, calibrations) as
-a base64-wrapped pickle inside the header.  **Blobs are code-adjacent
-data: only exchange them between mutually trusted hosts.**  The worker
-fabric is a lab/cluster tool, not an internet-facing service.
+A failed request answers the one error envelope both stacks share,
+``{"ok": false, "error": {"type", "message"}}`` (:func:`error_reply`);
+successes carry ``"ok": true``.  :func:`error_from_reply` resurrects
+the named exception from :data:`_ERROR_TYPES`, or the caller's fallback
+type (``RemoteExecutionError`` on fabric lanes, ``ServeError`` on the
+serving client) for anything else.
+
+The fabric's ``deploy`` op ships its deployment table as a pickle in a
+raw ``uint8`` body array.  **Pickles are code-adjacent data: only
+exchange them between mutually trusted hosts.**  The worker fabric is a
+lab/cluster tool, not an internet-facing service.
 
 An optional shared secret softens that caveat: with a token configured
 (``repro worker --listen --token T``), every payload must carry a valid
 ``auth`` field (:func:`attach_token`) or the server rejects it before
-any blob is unpickled (:func:`check_token`).  The auth value is an HMAC
+anything is unpickled (:func:`check_token`).  The auth value is an HMAC
 of the token, compared in constant time — a fabric membership proof
 against accidental or opportunistic connections, not a substitute for a
 trusted network (payloads are neither encrypted nor replay-protected).
@@ -46,17 +52,23 @@ trusted network (payloads are neither encrypted nor replay-protected).
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import hmac
 import json
 import os
-import pickle
 import struct
 
 import numpy as np
 
-from repro.errors import CodecError
+from repro.errors import (
+    BackpressureError,
+    CodecError,
+    DeploymentError,
+    FabricAuthError,
+    ReplicaDivergenceError,
+    RequestTimeoutError,
+    RolloutError,
+)
 
 __all__ = [
     "DEFAULT_COO_RATIO",
@@ -64,14 +76,15 @@ __all__ = [
     "FRAME_PREFIX_LEN",
     "attach_token",
     "check_token",
-    "decode_blob",
     "decode_frame",
-    "encode_blob",
     "encode_frame",
+    "error_from_reply",
+    "error_reply",
     "fabric_auth",
     "get_coo_ratio",
     "parse_frame_prefix",
     "read_frame",
+    "read_frame_async",
     "set_coo_ratio",
 ]
 
@@ -95,15 +108,39 @@ def _count_bytes(direction: str, nbytes: int) -> None:
     child.inc(nbytes)
 
 
-def encode_blob(obj) -> str:
-    """Pickle + base64 an object (deployments; trusted fabric only)."""
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
+# ----------------------------------------------------------------------
+# The error envelope
+# ----------------------------------------------------------------------
+#: Error types a structured ``ok: false`` reply resurrects as themselves
+#: on either stack; anything else becomes the caller's fallback type.
+_ERROR_TYPES = {cls.__name__: cls for cls in (
+    BackpressureError, DeploymentError, FabricAuthError,
+    ReplicaDivergenceError, RequestTimeoutError, RolloutError)}
 
 
-def decode_blob(text: str) -> object:
-    """Inverse of :func:`encode_blob` (trusted fabric only)."""
-    return pickle.loads(base64.b64decode(text))
+def error_reply(error: Exception) -> dict:
+    """The structured failure reply for ``error``."""
+    return {"ok": False,
+            "error": {"type": type(error).__name__,
+                      "message": str(error)}}
+
+
+def error_from_reply(reply: dict, fallback: type[Exception]) -> Exception:
+    """The typed exception an ``ok: false`` reply stands for.
+
+    A known type comes back as itself; any other becomes ``fallback``
+    with the remote type name kept in front of the message.
+    """
+    error = reply.get("error")
+    if not isinstance(error, dict):
+        error = {}
+    name = error.get("type")
+    cls = (_ERROR_TYPES.get(name, fallback) if isinstance(name, str)
+           else fallback)
+    message = str(error.get("message", "remote failure"))
+    if name and name != cls.__name__:
+        message = f"{name}: {message}"
+    return cls(message)
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +156,12 @@ _PREFIX_STRUCT = struct.Struct("<4sIQ")
 MAX_HEADER_BYTES = 1 << 20               # 1 MiB of JSON header
 MAX_BODY_BYTES = 1 << 31                 # 2 GiB of array buffers
 _MAX_NDIM = 32                           # numpy's own dimension limit
+
+#: Cap on the dense bytes all COO arrays of one frame may expand to.  A
+#: COO descriptor is tiny whatever its shape, so without this a few
+#: hundred header bytes could demand a gigabyte of zeros.  The encoder
+#: ships raw past the cap, so legitimate frames never trip it.
+MAX_COO_DENSE_BYTES = 1 << 28            # 256 MiB
 
 #: The only dtypes allowed on the wire.  Names are matched as exact
 #: strings *before* ``np.dtype`` ever sees attacker input, so a frame
@@ -190,6 +233,7 @@ def encode_frame(payload: dict,
     descriptors: dict[str, dict] = {}
     buffers: list[bytes | memoryview] = []
     offset = 0
+    coo_budget = MAX_COO_DENSE_BYTES
 
     def _append(buffer) -> tuple[int, int]:
         nonlocal offset
@@ -208,7 +252,9 @@ def encode_frame(payload: dict,
         descriptor = {"dtype": dtype, "shape": list(array.shape)}
         flat = array.reshape(-1)
         nnz = int(np.count_nonzero(flat)) if array.size else 0
-        if _sparse_wins(array, nnz, coo_ratio):
+        if (_sparse_wins(array, nnz, coo_ratio)
+                and array.nbytes <= coo_budget):
+            coo_budget -= array.nbytes
             indices = np.flatnonzero(flat).astype(np.uint32)
             values = np.ascontiguousarray(flat[indices])
             descriptor["enc"] = "coo"
@@ -266,9 +312,15 @@ def _require(condition: bool, message: str) -> None:
         raise CodecError(message)
 
 
-def _decode_descriptor(name: str, descriptor, body: memoryview
-                       ) -> np.ndarray:
-    """One validated array from its descriptor + the body buffer."""
+def _decode_descriptor(name: str, descriptor, body: memoryview,
+                       coo_room: int) -> tuple[np.ndarray, int]:
+    """One validated array from its descriptor + the body buffer.
+
+    ``coo_room`` is what is left of the frame's
+    :data:`MAX_COO_DENSE_BYTES`; a COO array is checked against it
+    before its dense buffer is allocated.  Returns the array and the
+    room left after it.
+    """
     _require(isinstance(descriptor, dict),
              f"array descriptor {name!r} must be an object")
     dtype_name = descriptor.get("dtype")
@@ -302,7 +354,7 @@ def _decode_descriptor(name: str, descriptor, body: memoryview
         _require(raw.nbytes == size * dtype.itemsize,
                  f"array {name!r} buffer holds {raw.nbytes} bytes but "
                  f"shape {shape} needs {size * dtype.itemsize}")
-        return np.frombuffer(raw, dtype=dtype).reshape(shape)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape), coo_room
     if encoding == "coo":
         count = descriptor.get("count")
         _require(isinstance(count, int) and 0 <= count <= size,
@@ -319,9 +371,13 @@ def _decode_descriptor(name: str, descriptor, body: memoryview
         indices = np.frombuffer(raw_idx, dtype=np.uint32)
         _require(count == 0 or int(indices.max()) < size,
                  f"array {name!r} sparse index out of range")
+        dense = size * dtype.itemsize
+        if dense > coo_room:
+            raise CodecError(f"COO arrays expand past the frame's cap of "
+                             f"{MAX_COO_DENSE_BYTES} bytes at {name!r}")
         flat = np.zeros(size, dtype=dtype)
         flat[indices] = np.frombuffer(raw_val, dtype=dtype)
-        return flat.reshape(shape)
+        return flat.reshape(shape), coo_room - dense
     raise CodecError(f"array {name!r} uses unknown encoding "
                      f"{encoding!r}")
 
@@ -345,12 +401,43 @@ def decode_frame(header: bytes | memoryview,
              and isinstance(parsed.get("arrays"), dict),
              "frame header must carry 'payload' and 'arrays' objects")
     body_view = memoryview(body).cast("B")
-    arrays = {str(name): _decode_descriptor(str(name), descriptor,
-                                            body_view)
-              for name, descriptor in parsed["arrays"].items()}
+    arrays: dict[str, np.ndarray] = {}
+    coo_room = MAX_COO_DENSE_BYTES
+    for name, descriptor in parsed["arrays"].items():
+        arrays[str(name)], coo_room = _decode_descriptor(
+            str(name), descriptor, body_view, coo_room)
     _count_bytes("received",
                  FRAME_PREFIX_LEN + len(header) + body_view.nbytes)
     return parsed["payload"], arrays
+
+
+def _frame_reads():
+    """The one frame-reading protocol behind both stream readers.
+
+    A generator: it yields how many bytes it wants next, is sent what
+    the stream delivered (short only at EOF), and returns the decoded
+    frame — or ``None`` on a clean EOF between frames.  The magic is
+    checked as soon as its four bytes arrive, so a peer speaking
+    anything else (a JSON line, say) fails at once; the declared lengths
+    are validated against the caps *before* the header/body reads, so no
+    oversized buffer is ever allocated.
+    """
+    magic = yield len(FRAME_MAGIC)
+    if not magic:
+        return None
+    if magic != FRAME_MAGIC:
+        raise CodecError(f"bad frame magic {magic!r}")
+    header_len, body_len = parse_frame_prefix(
+        magic + (yield FRAME_PREFIX_LEN - len(FRAME_MAGIC)))
+    header = yield header_len
+    if len(header) != header_len:
+        raise CodecError(f"frame truncated in header ({len(header)}/"
+                         f"{header_len} bytes)")
+    body = yield body_len
+    if len(body) != body_len:
+        raise CodecError(f"frame truncated in body ({len(body)}/"
+                         f"{body_len} bytes)")
+    return decode_frame(header, body)
 
 
 def read_frame(reader) -> tuple[dict, dict[str, np.ndarray]] | None:
@@ -358,25 +445,31 @@ def read_frame(reader) -> tuple[dict, dict[str, np.ndarray]] | None:
 
     Returns ``None`` on clean EOF (peer hung up between frames); raises
     :class:`~repro.errors.CodecError` on a truncated or hostile frame.
-    The magic is checked as soon as its four bytes arrive, so a peer
-    speaking anything else (a JSON line, say) fails at once; the
-    declared lengths are validated against the caps *before* the
-    header/body reads, so no oversized buffer is ever allocated.
     """
-    magic = reader.read(len(FRAME_MAGIC))
-    if not magic:
-        return None
-    _require(magic == FRAME_MAGIC, f"bad frame magic {magic!r}")
-    header_len, body_len = parse_frame_prefix(
-        magic + reader.read(FRAME_PREFIX_LEN - len(FRAME_MAGIC)))
-    header = reader.read(header_len)
-    _require(len(header) == header_len,
-             f"frame truncated in header ({len(header)}/{header_len} "
-             "bytes)")
-    body = reader.read(body_len)
-    _require(len(body) == body_len,
-             f"frame truncated in body ({len(body)}/{body_len} bytes)")
-    return decode_frame(header, body)
+    steps = _frame_reads()
+    try:
+        wanted = next(steps)
+        while True:
+            wanted = steps.send(reader.read(wanted))
+    except StopIteration as done:
+        return done.value
+
+
+async def read_frame_async(
+        reader) -> tuple[dict, dict[str, np.ndarray]] | None:
+    """:func:`read_frame` for an asyncio stream: same checks, same
+    outcomes on the same bytes."""
+    steps = _frame_reads()
+    try:
+        wanted = next(steps)
+        while True:
+            try:
+                data = await reader.readexactly(wanted)
+            except EOFError as error:  # asyncio.IncompleteReadError
+                data = error.partial
+            wanted = steps.send(data)
+    except StopIteration as done:
+        return done.value
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ from repro.telemetry import get_tracer as _get_tracer
 from repro.runtime.registry import DeploymentRegistry
 from repro.runtime.work import (Deployment, ResultLedger, WorkItem,
                                 WorkResult)
-from repro.runtime.workers import Worker, create_workers
+from repro.runtime.workers import MAX_WINDOW, Worker, create_workers
 
 __all__ = ["GroupMetrics", "WorkerGroup"]
 
@@ -102,9 +102,6 @@ def _fabric_window_occupancy(lane: str, depth: int) -> None:
 #: here would cycle: calibrate measures dispatch cost *through* a
 #: process group).
 _DEFAULT_DISPATCH_COST_S = 2e-3
-
-#: Hard ceiling on any lane's in-flight window, credit-derived or not.
-_MAX_WINDOW = 8
 
 
 @dataclass
@@ -750,7 +747,7 @@ class WorkerGroup:
         yet) starts stop-and-wait.
         """
         depth = max(1, int(getattr(worker, "pipeline_depth", 1)))
-        cap = min(depth, _MAX_WINDOW)
+        cap = min(depth, MAX_WINDOW)
         if self.window is not None:
             return max(1, min(self.window, cap))
         service = self._service_ewma.get(index)

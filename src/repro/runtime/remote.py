@@ -20,28 +20,33 @@ order; the payloads (arrays ride as raw frame buffers)::
     {"op": "hello"}                        -> {"ok": true, "window": W,
                                                "pid": ...}
     {"op": "ping"}                         -> {"ok": true, "pid": ...}
-    {"op": "deploy", "blob": "<b64>"}      -> {"ok": true, "deployments": N}
+    {"op": "deploy"} + blob                -> {"ok": true, "deployments": N}
     {"op": "execute_many",
      "items": [{"item_id", "deployment"},
                ...]} + images:0, images:1  -> {"ok": true, "results": [...]}
                                               + logits:0, logits:1, ...
 
 ``hello`` advertises ``window``, the most chunks a driver may keep in
-flight toward this host (``repro worker --window``).  ``execute_many``
-carries one dispatch chunk of any size per frame.
+flight toward this host (``repro worker --window``).  ``deploy`` ships
+the pickled deployment table as ``blob``, a raw ``uint8`` body array, so
+its size is bounded by the frame's body cap rather than the header's
+(a VGG-11 table pickles to ~29 MB).  ``execute_many`` carries one
+dispatch chunk of any size per frame.
 
-Task-level failures answer ``{"ok": false, "error": {"type", "message"}}``
-and keep the connection; a known type (``DeploymentError``,
-``FabricAuthError``) is resurrected client-side as the same typed
-exception.  Bytes that are not a valid frame get one ``CodecError``
-reply and a hang-up: a length-prefixed stream has nothing to
-resynchronize on.  Transport-level failures (closed socket, blown
-timeout) surface as :class:`~repro.errors.WorkerCrashError` so the group
-evicts the lane and requeues its work.
+Task-level failures answer the codec's error envelope,
+``{"ok": false, "error": {"type", "message"}}``, and keep the
+connection; a known type (``DeploymentError``, ``FabricAuthError``) is
+resurrected client-side as the same typed exception
+(:func:`~repro.runtime.codec.error_from_reply`).  Bytes that are not a
+valid frame get one ``CodecError`` reply and a hang-up: a
+length-prefixed stream has nothing to resynchronize on.
+Transport-level failures (closed socket, blown timeout) surface as
+:class:`~repro.errors.WorkerCrashError` so the group evicts the lane and
+requeues its work.
 
 Results are bit-identical to a local run: images and logits cross the
 wire as exact raw buffers, traces as integer counters.  The ``deploy``
-blob is pickled — **only attach workers you trust, over networks you
+table is pickled — **only attach workers you trust, over networks you
 trust**; this is a lab/cluster fabric, not a public API.  An optional
 shared secret softens the caveat: a server started with a ``token``
 rejects every payload that does not carry the matching auth proof
@@ -52,6 +57,7 @@ anything, and the join handshake is verified in both directions.
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import socket
 import threading
@@ -64,7 +70,6 @@ import numpy as np
 from repro.core.engine.trace import TraceMerge
 from repro.errors import (
     CodecError,
-    DeploymentError,
     FabricAuthError,
     RemoteExecutionError,
     WorkerCrashError,
@@ -72,38 +77,27 @@ from repro.errors import (
 from repro.runtime.codec import (
     attach_token,
     check_token,
-    decode_blob,
-    encode_blob,
     encode_frame,
+    error_from_reply,
+    error_reply,
     read_frame,
 )
 from repro.runtime.work import (Deployment, WorkItem, WorkResult,
                                 chunk_timeout_s, execute_item)
-from repro.runtime.workers import Worker
+from repro.runtime.workers import MAX_WINDOW, Worker
 
 __all__ = ["GroupListener", "JoinStats", "RemoteWorker", "WorkerServer",
            "join_fabric"]
 
-#: Error types a structured worker reply resurrects client-side;
-#: anything else degrades to :class:`RemoteExecutionError`.
-_REMOTE_ERROR_TYPES = {
-    "DeploymentError": DeploymentError,
-    "FabricAuthError": FabricAuthError,
-}
-
-
-def _error_reply(error: Exception) -> dict:
-    return {"ok": False,
-            "error": {"type": type(error).__name__,
-                      "message": str(error)}}
-
-
-def _remote_error(reply: dict) -> Exception:
-    """The typed exception a structured ``ok: false`` reply stands for."""
-    error = reply.get("error") or {}
-    cls = _REMOTE_ERROR_TYPES.get(error.get("type"), RemoteExecutionError)
-    return cls(f"{error.get('type', 'Error')}: "
-               f"{error.get('message', 'remote worker failure')}")
+def _clamp_window(advertised) -> int:
+    """The in-flight window toward a host that advertised ``advertised``
+    chunks (its hello or join): within ``[1, MAX_WINDOW]``, the cap if
+    unreadable.  The server answers strictly in order per connection,
+    so the window is purely a client-side credit."""
+    try:
+        return max(1, min(MAX_WINDOW, int(advertised)))
+    except (TypeError, ValueError):
+        return MAX_WINDOW
 
 
 def _configure_socket(sock: socket.socket) -> None:
@@ -120,6 +114,20 @@ def _configure_socket(sock: socket.socket) -> None:
         if hasattr(socket, option):
             sock.setsockopt(socket.IPPROTO_TCP,
                             getattr(socket, option), value)
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """shutdown() then close(): closing an fd does NOT wake a thread
+    blocked in accept() or recv() on it (a listening socket even stays
+    in LISTEN and keeps taking connections); shutdown does."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +155,7 @@ def _execute_many(deployments: list[Deployment], message: dict,
                 deployment=int(spec["deployment"]),
                 images=images, trace=spec.get("trace")))
         except Exception as error:  # noqa: BLE001 — per-item failure
-            results.append(_error_reply(error))
+            results.append(error_reply(error))
             continue
         results.append({
             "ok": True,
@@ -171,7 +179,7 @@ def _handle_request(deployments: list[Deployment], message: dict,
     host (``repro worker --window``; 1 forces stop-and-wait).
     """
     if not check_token(message, token):
-        # Reject *before* touching any pickled blob the payload carries.
+        # Reject *before* unpickling anything the frame carries.
         raise FabricAuthError(
             "payload rejected: missing or invalid fabric token")
     op = message.get("op")
@@ -182,8 +190,10 @@ def _handle_request(deployments: list[Deployment], message: dict,
         return {"ok": True, "pid": os.getpid(),
                 "deployments": len(deployments)}, {}
     if op == "deploy":
-        table = decode_blob(message["blob"])
-        deployments[:] = list(table)
+        blob = arrays.get("blob")
+        if blob is None or blob.dtype != np.uint8:
+            raise ValueError("deploy needs a uint8 'blob' array")
+        deployments[:] = list(pickle.loads(blob))
         return {"ok": True, "deployments": len(deployments)}, {}
     if op == "execute_many":
         return _execute_many(deployments, message, arrays)
@@ -212,7 +222,7 @@ def _serve_requests(conn: socket.socket, reader,
             decoded = read_frame(reader)
         except CodecError as error:
             try:
-                conn.sendall(encode_frame(_error_reply(error)))
+                conn.sendall(encode_frame(error_reply(error)))
             except OSError:
                 pass
             return
@@ -223,58 +233,46 @@ def _serve_requests(conn: socket.socket, reader,
             reply, out_arrays = _handle_request(
                 deployments, message, arrays, token, window)
         except Exception as error:  # noqa: BLE001 — see docstring
-            reply, out_arrays = _error_reply(error), {}
+            reply, out_arrays = error_reply(error), {}
         conn.sendall(encode_frame(reply, out_arrays))
         if chaos is not None and chaos.server_hangup(lane):
             return  # injected hangup: the reply landed, then we vanish
 
 
 # ----------------------------------------------------------------------
-# Server side — what `repro worker --listen` runs
+# Listening side — shared by WorkerServer and GroupListener
 # ----------------------------------------------------------------------
-class WorkerServer:
-    """A TCP engine worker: accepts connections, executes work items.
+class _Listener:
+    """One TCP listener: bind, accept thread, one handler thread per
+    connection, live-connection tracking, and a :meth:`close` that shuts
+    every socket down before closing it.
 
-    Engines are built lazily per deployment through the process-wide
-    warm cache, so repeated sweeps against the same worker recompile
-    nothing.  Each connection carries its own deployment table (drivers
-    deploy right after connecting); one handler thread per connection
-    keeps the protocol strictly request/response ordered.  With a
-    ``token``, payloads without the matching auth proof are rejected
-    before any blob is unpickled.
+    Subclasses implement :meth:`_on_connection`, run on the handler
+    thread; the socket stays tracked until it returns, or until it
+    calls :meth:`_untrack` because the socket is no longer its to close.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 token: str | None = None,
-                 chaos=None,
-                 window: int = 8) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+    _thread_name = "repro-listener"
+
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.token = token
-        #: In-flight chunk cap advertised in the hello reply: how many
-        #: pipelined chunks a driver may keep on the wire toward this
-        #: host (``repro worker --window``; 1 forces stop-and-wait).
-        self.window = window
-        #: Optional ChaosPolicy: injected server_conn hangups per reply.
-        self.chaos = chaos
         self._sock: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        # Live handler threads and their sockets, pruned as connections
-        # close — the worker is a long-lived daemon, so per-connection
-        # state must not accumulate.  Guarded by _conn_lock (accept
-        # thread adds, handlers remove, close() snapshots).
-        self._handlers: set[threading.Thread] = set()
-        self._connections: set[socket.socket] = set()
-        self._conn_lock = threading.Lock()
         self._closing = threading.Event()
+        # Live sockets and handler threads, pruned as connections close
+        # — a long-lived daemon must not accumulate per-connection
+        # state.  Guarded by _conn_lock (accept thread adds, handlers
+        # remove, close() snapshots).
+        self._connections: set[socket.socket] = set()
+        self._handlers: set[threading.Thread] = set()
+        self._conn_lock = threading.Lock()
 
     @property
     def running(self) -> bool:
         return self._sock is not None
 
-    def start(self) -> "WorkerServer":
+    def start(self) -> "_Listener":
         """Bind and begin accepting; ``port=0`` picks an ephemeral port."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -283,12 +281,12 @@ class WorkerServer:
         self.port = sock.getsockname()[1]
         self._sock = sock
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-worker-accept",
+            target=self._accept_loop, name=f"{self._thread_name}-accept",
             daemon=True)
         self._accept_thread.start()
         return self
 
-    def __enter__(self) -> "WorkerServer":
+    def __enter__(self) -> "_Listener":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -297,18 +295,81 @@ class WorkerServer:
     def _accept_loop(self) -> None:
         while not self._closing.is_set():
             try:
-                conn, _ = self._sock.accept()
+                conn, peer = self._sock.accept()
             except OSError:
                 return  # socket closed by close()
             handler = threading.Thread(
-                target=self._serve_connection, args=(conn,),
-                name="repro-worker-conn", daemon=True)
+                target=self._handle, args=(conn, peer),
+                name=f"{self._thread_name}-conn", daemon=True)
             with self._conn_lock:
                 self._connections.add(conn)
                 self._handlers.add(handler)
             handler.start()
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def _handle(self, conn: socket.socket, peer) -> None:
+        try:
+            self._on_connection(conn, peer)
+        finally:
+            self._untrack(conn)
+
+    def _on_connection(self, conn: socket.socket, peer) -> None:
+        raise NotImplementedError
+
+    def _untrack(self, conn: socket.socket) -> None:
+        with self._conn_lock:
+            self._connections.discard(conn)
+            self._handlers.discard(threading.current_thread())
+
+    def close(self) -> None:
+        self._closing.set()
+        if self._sock is not None:
+            _hang_up(self._sock)
+            self._sock = None
+        # Drop live connections too, so attached lanes observe the death
+        # promptly (heartbeat probes must fail, not hang).
+        with self._conn_lock:
+            connections = list(self._connections)
+            handlers = list(self._handlers)
+            self._connections.clear()
+        for conn in connections:
+            _hang_up(conn)
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=1.0)
+            self._accept_thread = None
+        for handler in handlers:
+            handler.join(timeout=1.0)
+
+
+class WorkerServer(_Listener):
+    """A TCP engine worker: accepts connections, executes work items.
+
+    Engines are built lazily per deployment through the process-wide
+    warm cache, so repeated sweeps against the same worker recompile
+    nothing.  Each connection carries its own deployment table (drivers
+    deploy right after connecting); one handler thread per connection
+    keeps the protocol strictly request/response ordered.  With a
+    ``token``, payloads without the matching auth proof are rejected
+    before anything is unpickled.
+    """
+
+    _thread_name = "repro-worker"
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 token: str | None = None,
+                 chaos=None,
+                 window: int = 8) -> None:
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        super().__init__(host, port)
+        self.token = token
+        #: In-flight chunk cap advertised in the hello reply: how many
+        #: pipelined chunks a driver may keep on the wire toward this
+        #: host (``repro worker --window``; 1 forces stop-and-wait).
+        self.window = window
+        #: Optional ChaosPolicy: injected server_conn hangups per reply.
+        self.chaos = chaos
+
+    def _on_connection(self, conn: socket.socket, peer) -> None:
         try:
             with conn, conn.makefile("rb") as reader:
                 _configure_socket(conn)
@@ -318,46 +379,6 @@ class WorkerServer:
                                 window=self.window)
         except (ConnectionError, OSError):
             pass  # peer vanished; nothing to answer
-        finally:
-            with self._conn_lock:
-                self._connections.discard(conn)
-                self._handlers.discard(threading.current_thread())
-
-    def close(self) -> None:
-        self._closing.set()
-        if self._sock is not None:
-            # shutdown() before close(): closing an fd does NOT wake a
-            # thread blocked in accept() on it (the kernel socket stays
-            # in LISTEN and keeps taking connections); shutdown does.
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        # Drop live connections too, so attached lanes observe the death
-        # promptly (heartbeat probes must fail, not hang).
-        with self._conn_lock:
-            connections = list(self._connections)
-            handlers = list(self._handlers)
-            self._connections.clear()
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=1.0)
-            self._accept_thread = None
-        for handler in handlers:
-            handler.join(timeout=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -414,11 +435,10 @@ def join_fabric(
     exits.
     """
     worker_name = name or f"{socket.gethostname()}:{os.getpid()}"
+    stop = stop_event or threading.Event()
     stats = JoinStats()
     streak = 0               # consecutive failures since the last serve
-    while True:
-        if stop_event is not None and stop_event.is_set():
-            return stats
+    while not stop.is_set():
         stats.attempts += 1
         try:
             sock = socket.create_connection((host, port),
@@ -429,60 +449,52 @@ def join_fabric(
                     f"cannot reach group listener {host}:{port} "
                     f"(attempt {stats.attempts})") from None
             streak += 1
-            delay = _backoff_delay(retry_s, streak, max_retry_s)
-            if stop_event is not None:
-                if stop_event.wait(delay):
-                    return stats
-            else:
-                time.sleep(delay)
-            continue
-        try:
-            _configure_socket(sock)
-            sock.settimeout(connect_timeout_s)
-            sock.sendall(encode_frame(attach_token(
-                {"op": "join", "name": worker_name,
-                 "window": max(1, int(window))},
-                token)))
-            reader = sock.makefile("rb")
-            try:
-                decoded = read_frame(reader)
-            except CodecError:
-                decoded = None
-            reply = decoded[0] if decoded else {}
-            if not reply.get("ok") or not check_token(reply, token):
-                error = (reply.get("error") or {}).get(
-                    "message", "group refused the join handshake")
-                raise FabricAuthError(error)
-            sock.settimeout(None)
-            stats.connects += 1
-            streak = 0       # a real session: back to the base delay
-            _serve_requests(sock, reader, window=window)
-            # Clean EOF: the group hung up (run finished or driver
-            # stopped) — counted the same as a mid-serve drop.
-            stats.disconnects += 1
-        except (ConnectionError, OSError):
-            # The group went away MID-serve (reset, partition, driver
-            # killed): record the disconnect and let the retry loop
-            # decide — the explicit path the old silent fall-through
-            # used to hide.
-            stats.disconnects += 1
-            streak += 1
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        if retry_s is None:
-            return stats
-        delay = _backoff_delay(retry_s, streak, max_retry_s)
-        if stop_event is not None:
-            if stop_event.wait(delay):
-                return stats
         else:
-            time.sleep(delay)
+            with sock:
+                try:
+                    _configure_socket(sock)
+                    sock.settimeout(connect_timeout_s)
+                    sock.sendall(encode_frame(attach_token(
+                        {"op": "join", "name": worker_name,
+                         "window": max(1, int(window))},
+                        token)))
+                    reader = sock.makefile("rb")
+                    try:
+                        decoded = read_frame(reader)
+                    except CodecError as error:
+                        raise FabricAuthError(
+                            f"group answered a non-frame: {error}") \
+                            from error
+                    if decoded is None:
+                        # The group went away mid-handshake (its run
+                        # ended): a disconnect, not a refusal.
+                        raise ConnectionError(
+                            "group hung up during the join handshake")
+                    reply = decoded[0]
+                    if not reply.get("ok") or not check_token(reply,
+                                                              token):
+                        error = (reply.get("error") or {}).get(
+                            "message", "group refused the join handshake")
+                        raise FabricAuthError(error)
+                    sock.settimeout(None)
+                    stats.connects += 1
+                    streak = 0   # a real session: back to the base delay
+                    _serve_requests(sock, reader, window=window)
+                except (ConnectionError, OSError):
+                    # The group went away MID-serve (reset, partition,
+                    # driver killed): let the retry loop decide.
+                    streak += 1
+                # A clean EOF (run finished, driver stopped) counts the
+                # same as a mid-serve drop.
+                stats.disconnects += 1
+            if retry_s is None:
+                return stats
+        if stop.wait(_backoff_delay(retry_s, streak, max_retry_s)):
+            break
+    return stats
 
 
-class GroupListener:
+class GroupListener(_Listener):
     """Admits ``repro worker --join`` hosts into a live :class:`WorkerGroup`.
 
     Owned by whoever owns the group (the sweep driver's ``accept=``
@@ -490,79 +502,53 @@ class GroupListener:
     handshake (token checked both ways) and, on success, becomes a
     :class:`RemoteWorker` lane via ``group.add_lane`` — from that moment
     it is a full fabric citizen: it steals work, answers heartbeats, and
-    its eviction requeues exactly like any other lane.
+    its eviction requeues exactly like any other lane.  Admitted lanes
+    belong to the group, so closing the listener leaves them running.
     """
+
+    _thread_name = "repro-group-listener"
 
     def __init__(self, group, host: str = "127.0.0.1", port: int = 0,
                  token: str | None = None,
                  handshake_timeout_s: float = 5.0) -> None:
+        super().__init__(host, port)
         self.group = group
-        self.host = host
-        self.port = port
         self.token = token
         self.handshake_timeout_s = handshake_timeout_s
         self.joined: list[str] = []          # lane names, admission order
-        self._sock: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._closing = threading.Event()
 
-    @property
-    def running(self) -> bool:
-        return self._sock is not None
-
-    def start(self) -> "GroupListener":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self.port))
-        sock.listen()
-        self.port = sock.getsockname()[1]
-        self._sock = sock
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-group-listener",
-            daemon=True)
-        self._accept_thread.start()
-        return self
-
-    def __enter__(self) -> "GroupListener":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, peer = self._sock.accept()
-            except OSError:
-                return  # socket closed by close()
-            try:
-                self._admit(conn, peer)
-            except Exception:  # noqa: BLE001 — a bad joiner must not
-                # kill the accept loop; the group keeps running on its
-                # existing lanes.
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-    def _admit(self, conn: socket.socket, peer) -> None:
-        """Handshake one joiner and hand its socket to the group."""
-        conn.settimeout(self.handshake_timeout_s)
+    def _on_connection(self, conn: socket.socket, peer) -> None:
+        """Handshake one joiner and hand its socket to the group.  A bad
+        joiner fails alone — other handshakes run on their own threads —
+        and the group keeps running on its existing lanes."""
         reader = conn.makefile("rb")
         try:
+            worker = self._handshake(conn, reader, peer)
+        except Exception:  # noqa: BLE001 — see docstring
+            worker = None
+        self._untrack(conn)
+        if worker is None:
+            reader.close()
+            conn.close()
+            return
+        try:
+            self.joined.append(self.group.add_lane(worker))
+        except Exception:  # noqa: BLE001 — see docstring
+            worker.close()
+
+    def _handshake(self, conn: socket.socket, reader,
+                   peer) -> RemoteWorker | None:
+        conn.settimeout(self.handshake_timeout_s)
+        try:
             decoded = read_frame(reader)
-        except CodecError as error:
-            conn.sendall(encode_frame(_error_reply(error)))
-            reader.close()
-            conn.close()
-            return
-        hello = decoded[0] if decoded else {}
-        if hello.get("op") != "join" or not check_token(hello, self.token):
-            conn.sendall(encode_frame(_error_reply(FabricAuthError(
-                "join rejected: missing or invalid fabric token"))))
-            reader.close()
-            conn.close()
-            return
+            hello = decoded[0] if decoded else {}
+            if (hello.get("op") != "join"
+                    or not check_token(hello, self.token)):
+                raise FabricAuthError(
+                    "join rejected: missing or invalid fabric token")
+        except (CodecError, FabricAuthError) as error:
+            conn.sendall(encode_frame(error_reply(error)))
+            return None
         name = str(hello.get("name") or f"joined@{peer[0]}:{peer[1]}")
         conn.sendall(encode_frame(attach_token(
             {"ok": True, "name": name}, self.token)))
@@ -570,45 +556,13 @@ class GroupListener:
         _configure_socket(conn)
         worker = RemoteWorker.from_socket(conn, reader, name=name)
         # The joiner's hello caps the in-flight window toward it.
-        advertised = hello.get("window")
-        if advertised is not None:
-            try:
-                worker.pipeline_depth = max(
-                    1, min(_MAX_REMOTE_WINDOW, int(advertised)))
-            except (TypeError, ValueError):
-                pass
-        try:
-            lane_name = self.group.add_lane(worker)
-        except Exception:
-            worker.close()
-            raise
-        self.joined.append(lane_name)
-
-    def close(self) -> None:
-        self._closing.set()
-        if self._sock is not None:
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=1.0)
-            self._accept_thread = None
+        worker.pipeline_depth = _clamp_window(hello.get("window"))
+        return worker
 
 
 # ----------------------------------------------------------------------
 # Client side — the lane a WorkerGroup schedules onto
 # ----------------------------------------------------------------------
-#: Most chunks a remote lane keeps on the wire at once.  The server
-#: answers strictly in order per connection, so this is purely a
-#: client-side credit cap; the server's hello can lower it per lane.
-_MAX_REMOTE_WINDOW = 8
-
 
 @dataclass
 class _RemoteFlight:
@@ -640,7 +594,7 @@ class RemoteWorker(Worker):
         self.port = port
         self.connect_timeout_s = connect_timeout_s
         self.token = token
-        self.pipeline_depth = _MAX_REMOTE_WINDOW
+        self.pipeline_depth = MAX_WINDOW
         self._sock: socket.socket | None = None
         self._reader = None
         self._outstanding: deque[_RemoteFlight] = deque()
@@ -693,7 +647,7 @@ class RemoteWorker(Worker):
                 f"{error}") from error
         # A fresh connection re-reads the window from the cap (the
         # previous server's advertisement died with the old socket).
-        self.pipeline_depth = _MAX_REMOTE_WINDOW
+        self.pipeline_depth = MAX_WINDOW
         with self._io_lock:
             try:
                 reply = self._request_locked(
@@ -704,10 +658,9 @@ class RemoteWorker(Worker):
                 return
         # The server caps how many chunks may be in flight toward it
         # (``repro worker --window``).
-        self.pipeline_depth = max(1, min(
-            self.pipeline_depth, int(reply.get("window", 1))))
+        self.pipeline_depth = _clamp_window(reply.get("window", 1))
 
-    def _request(self, payload: dict,
+    def _request(self, payload: dict, arrays: dict | None = None,
                  timeout_s: float | None = None) -> dict:
         with self._io_cond:
             # Replies are strictly ordered per connection: a full
@@ -717,17 +670,36 @@ class RemoteWorker(Worker):
             # window without holding the lock.
             while self._outstanding:
                 self._io_cond.wait(timeout=0.1)
-            return self._request_locked(payload, timeout_s)
+            return self._request_locked(payload, arrays, timeout_s)
 
-    def _sever_if_chaos(self) -> None:
-        """Injected partition: drop the socket mid-protocol so the group
-        sees the real dead-lane signature and evicts us — with a window
-        open, every outstanding chunk dies with it."""
+    def _crash(self, reason: str) -> WorkerCrashError:
+        """Close the lane; the returned error makes the group evict it
+        and requeue whatever was in flight."""
+        self.close()
+        return WorkerCrashError(f"worker {self.name!r} {reason}")
+
+    def _send_locked(self, payload: dict, arrays: dict | None,
+                     timeout_s: float | None) -> None:
+        """Put one request frame on the wire; caller holds ``_io_lock``.
+
+        The one send path: any transport failure closes the lane as a
+        crash, and chaos may sever it first — an injected partition
+        drops the socket mid-protocol so the group sees the real
+        dead-lane signature (with a window open, every outstanding
+        chunk dies with it).
+        """
+        if self._sock is None:
+            raise WorkerCrashError(
+                f"worker {self.name!r} is not connected")
         if (self.chaos is not None
                 and self.chaos.exchange_fate(self.name) == "sever"):
-            self.close()
-            raise WorkerCrashError(
-                f"worker {self.name!r} connection severed (chaos)")
+            raise self._crash("connection severed (chaos)")
+        try:
+            self._sock.settimeout(timeout_s)
+            self._sock.sendall(encode_frame(
+                attach_token(payload, self.token), arrays))
+        except (OSError, ValueError, CodecError) as error:
+            raise self._crash(f"connection failed: {error}") from error
 
     def _read_reply_locked(self, timeout_s: float | None):
         """The next frame off the connection; caller holds ``_io_lock``.
@@ -736,62 +708,35 @@ class RemoteWorker(Worker):
             self._sock.settimeout(timeout_s)
             decoded = read_frame(self._reader)
         except (OSError, ValueError, CodecError) as error:
-            self.close()
-            raise WorkerCrashError(
-                f"worker {self.name!r} connection failed: "
-                f"{error}") from error
+            raise self._crash(f"connection failed: {error}") from error
         if decoded is None:
-            self.close()
-            raise WorkerCrashError(
-                f"worker {self.name!r} closed the connection")
+            raise self._crash("closed the connection")
         return decoded
 
-    def _request_locked(self, payload: dict,
+    def _request_locked(self, payload: dict, arrays: dict | None = None,
                         timeout_s: float | None = None) -> dict:
         """One exchange; caller must hold ``_io_lock``."""
-        if self._sock is None:
-            raise WorkerCrashError(
-                f"worker {self.name!r} is not connected")
-        self._sever_if_chaos()
-        try:
-            self._sock.settimeout(timeout_s)
-            self._sock.sendall(encode_frame(
-                attach_token(payload, self.token)))
-        except (OSError, ValueError, CodecError) as error:
-            self.close()
-            raise WorkerCrashError(
-                f"worker {self.name!r} connection failed: "
-                f"{error}") from error
+        self._send_locked(payload, arrays, timeout_s)
         reply, _ = self._read_reply_locked(timeout_s)
         if not reply.get("ok"):
-            raise _remote_error(reply)
+            raise error_from_reply(reply, RemoteExecutionError)
         return reply
 
     def deploy(self, deployments: list[Deployment]) -> None:
+        blob = np.frombuffer(pickle.dumps(
+            list(deployments), protocol=pickle.HIGHEST_PROTOCOL),
+            dtype=np.uint8)
         try:
-            self._request({"op": "deploy",
-                           "blob": encode_blob(list(deployments))},
+            self._request({"op": "deploy"}, {"blob": blob},
                           timeout_s=self.connect_timeout_s * 4)
         except FabricAuthError as error:
             # An unauthenticated lane can never execute anything: treat
             # the handshake failure as lane-level so the group degrades
             # (dead lane, tolerated) instead of aborting the whole run.
-            self.close()
-            raise WorkerCrashError(
-                f"worker {self.name!r} rejected the fabric token: "
-                f"{error}") from error
+            raise self._crash(
+                f"rejected the fabric token: {error}") from error
 
     def _result_from(self, reply: dict, logits) -> WorkResult:
-        spans = list(reply.get("spans") or [])
-        # The server side executes with no knowledge of what this group
-        # calls its lane, so its lane_execute spans come back with an
-        # empty worker attribute.  Stamp the client-edge lane identity
-        # here — the one place that knows both the spans and the name —
-        # so traces attribute remote execution to ``remote@host:port``.
-        for span in spans:
-            attrs = span.get("attrs")
-            if isinstance(attrs, dict) and not attrs.get("worker"):
-                attrs["worker"] = self.name
         return WorkResult(
             item_id=int(reply["item_id"]),
             logits=logits,
@@ -800,7 +745,7 @@ class RemoteWorker(Worker):
             elapsed_s=float(reply["elapsed_s"]),
             worker=self.name,
             pid=int(reply.get("pid", 0)),
-            spans=spans,
+            spans=self._claim_spans(list(reply.get("spans") or [])),
         )
 
     def _chunk_payload(self, items: list[WorkItem]):
@@ -842,24 +787,8 @@ class RemoteWorker(Worker):
         deadline = (None if timeout_s is None
                     else time.monotonic() + timeout_s)
         with self._io_lock:
-            if self._sock is None:
-                raise WorkerCrashError(
-                    f"worker {self.name!r} is not connected")
-            if len(self._outstanding) >= self.pipeline_depth:
-                raise ValueError(
-                    f"worker {self.name!r} already has "
-                    f"{len(self._outstanding)} chunk(s) in flight "
-                    f"(pipeline_depth={self.pipeline_depth})")
-            self._sever_if_chaos()
-            try:
-                self._sock.settimeout(timeout_s)
-                self._sock.sendall(encode_frame(
-                    attach_token(payload, self.token), arrays))
-            except (OSError, ValueError, CodecError) as error:
-                self.close()
-                raise WorkerCrashError(
-                    f"worker {self.name!r} connection failed: "
-                    f"{error}") from error
+            self._check_window(len(self._outstanding))
+            self._send_locked(payload, arrays, timeout_s)
             self._outstanding.append(_RemoteFlight(
                 list(items), spans, deadline))
 
@@ -882,10 +811,8 @@ class RemoteWorker(Worker):
             if flight.deadline is not None:
                 timeout_s = flight.deadline - time.monotonic()
                 if timeout_s <= 0:
-                    self.close()
-                    raise WorkerCrashError(
-                        f"worker {self.name!r} exceeded its chunk "
-                        "deadline before replying")
+                    raise self._crash(
+                        "exceeded its chunk deadline before replying")
             reply, arrays = self._read_reply_locked(timeout_s)
             self._outstanding.popleft()
             self._io_cond.notify_all()
@@ -893,7 +820,7 @@ class RemoteWorker(Worker):
             # A whole-chunk refusal (auth, malformed request) on a live
             # connection: a task-level failure — the reply was consumed
             # in order, the lane stays healthy.
-            raise _remote_error(reply)
+            raise error_from_reply(reply, RemoteExecutionError)
         return self._decode_chunk(reply, arrays, flight)
 
     def _decode_chunk(self, reply: dict, arrays: dict,
@@ -912,7 +839,8 @@ class RemoteWorker(Worker):
                 outcomes.append(self._result_from(
                     entry, arrays[f"logits:{position}"]))
             else:
-                outcomes.append(_remote_error(entry))
+                outcomes.append(error_from_reply(
+                    entry, RemoteExecutionError))
         if flight.spans:
             shared = len(items) > 1
             for position, item in enumerate(items):
@@ -958,8 +886,5 @@ class RemoteWorker(Worker):
                 pass
             self._reader = None
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            _hang_up(self._sock)
             self._sock = None

@@ -53,6 +53,11 @@ from repro.runtime.shm import ShmArena, ShmView, attach_view, shm_available
 from repro.runtime.work import (Deployment, WorkItem, chunk_timeout_s,
                                 execute_item)
 
+#: Most chunks any lane keeps in flight: the ceiling on every window,
+#: whether the group derives it from credit or a remote host negotiates
+#: it in its hello/join handshake.
+MAX_WINDOW = 8
+
 __all__ = [
     "ProcessWorker",
     "ThreadWorker",
@@ -120,6 +125,22 @@ class Worker(abc.ABC):
         """Liveness probe; ``False``/``WorkerCrashError`` marks the lane
         dead.  In-process lanes are alive by definition."""
         return True
+
+    def _check_window(self, in_flight: int) -> None:
+        """Refuse a send past :attr:`pipeline_depth` (a caller bug)."""
+        if in_flight >= self.pipeline_depth:
+            raise ValueError(
+                f"worker {self.name!r} already has {in_flight} chunk(s) "
+                f"in flight (pipeline_depth={self.pipeline_depth})")
+
+    def _claim_spans(self, spans: list) -> list:
+        """Stamp this lane's name on spans that executed without knowing
+        it (a forked child, a remote host), so traces attribute them."""
+        for span in spans:
+            attrs = span.get("attrs")
+            if isinstance(attrs, dict) and not attrs.get("worker"):
+                attrs["worker"] = self.name
+        return spans
 
     def kill(self) -> None:
         """Hard-kill the lane mid-run (chaos injection).
@@ -384,13 +405,7 @@ class ProcessWorker(Worker):
             result.logits = np.array(self._arenas[slot].read(logits_view),
                                      copy=True)
         result.worker = self.name
-        # The child executed without knowing its lane name; stamp it on
-        # the spans here so forked-lane lane_execute spans are
-        # attributable, exactly like the remote client edge does.
-        for span in result.spans:
-            attrs = span.get("attrs")
-            if isinstance(attrs, dict) and not attrs.get("worker"):
-                attrs["worker"] = self.name
+        self._claim_spans(result.spans)
         return result
 
     def send_chunk(self, items: list[WorkItem]) -> None:
@@ -401,11 +416,7 @@ class ProcessWorker(Worker):
             if self._pool is None:
                 raise WorkerCrashError(
                     f"worker {self.name!r} is not started")
-            if len(self._outstanding) >= self.pipeline_depth:
-                raise ValueError(
-                    f"worker {self.name!r} already has "
-                    f"{len(self._outstanding)} chunk(s) in flight "
-                    f"(pipeline_depth={self.pipeline_depth})")
+            self._check_window(len(self._outstanding))
             slot = self._slot
             self._slot = (self._slot + 1) % len(self._arenas)
             wires = self._pack(items, slot)

@@ -27,11 +27,12 @@ Responses echo the client's ``id`` so clients may pipeline: every
 connection handles its requests concurrently (each becomes a
 ``submit()`` into the shared :class:`~repro.serve.server.InferenceServer`,
 so requests from many connections coalesce into the same micro-batches).
-Failures answer as structured errors instead of tearing the connection
-down::
+Every reply carries ``ok``: ``true`` with the result fields, or the
+codec's error envelope instead of tearing the connection down::
 
-    {"id": 7, "error": {"type": "RequestTimeoutError",
-                        "message": "..."}}
+    {"id": 7, "ok": true, "cycles": ..., ...} + logits
+    {"id": 7, "ok": false, "error": {"type": "RequestTimeoutError",
+                                     "message": "..."}}
 
 so a timed-out or cancelled request propagates to the client as a typed
 exception (:class:`~repro.errors.RequestTimeoutError`,
@@ -50,38 +51,18 @@ import asyncio
 
 import numpy as np
 
-from repro.errors import (
-    BackpressureError,
-    CodecError,
-    DeploymentError,
-    ReplicaDivergenceError,
-    ReproError,
-    RequestTimeoutError,
-    RolloutError,
-    ServeError,
-)
+from repro.errors import CodecError, ReproError, ServeError
 from repro.runtime.codec import (
-    FRAME_MAGIC,
-    FRAME_PREFIX_LEN,
-    decode_frame,
     encode_frame,
-    parse_frame_prefix,
+    error_from_reply,
+    error_reply,
+    read_frame_async,
 )
 from repro.runtime.remote import _backoff_delay
 from repro.runtime.work import next_idempotency_key
 from repro.serve.server import InferenceServer
 
 __all__ = ["TcpClient", "start_tcp_server"]
-
-#: Error types a structured reply can resurrect client-side; anything
-#: else degrades to plain :class:`ServeError`.
-_ERROR_TYPES = {
-    "BackpressureError": BackpressureError,
-    "DeploymentError": DeploymentError,
-    "ReplicaDivergenceError": ReplicaDivergenceError,
-    "RequestTimeoutError": RequestTimeoutError,
-    "RolloutError": RolloutError,
-}
 
 #: Read-only (or naturally idempotent) control ops a disconnected client
 #: may re-send without a key.
@@ -94,39 +75,31 @@ class _ConnectionLost(ServeError):
     error the server answered with."""
 
 
-def _error_payload(error: Exception) -> dict:
-    return {"type": type(error).__name__, "message": str(error)}
-
-
-def _raise_remote_error(error) -> Exception:
-    """Rebuild the typed exception from a structured (or legacy) error."""
-    if isinstance(error, dict):
-        cls = _ERROR_TYPES.get(error.get("type"), ServeError)
-        return cls(error.get("message", "server error"))
-    return ServeError(str(error))
-
-
-async def _read_frame_async(reader: asyncio.StreamReader):
-    """One frame off an asyncio stream; ``None`` on clean EOF.  The
-    magic is checked as soon as it arrives (see
-    :func:`repro.runtime.codec.read_frame`)."""
-    try:
-        magic = await reader.readexactly(len(FRAME_MAGIC))
-    except asyncio.IncompleteReadError as error:
-        if error.partial:
-            raise CodecError("connection closed mid-frame") from None
-        return None
-    if magic != FRAME_MAGIC:
-        raise CodecError(f"bad frame magic {magic!r}")
-    try:
-        header_len, body_len = parse_frame_prefix(
-            magic + await reader.readexactly(
-                FRAME_PREFIX_LEN - len(FRAME_MAGIC)))
-        header = await reader.readexactly(header_len)
-        body = await reader.readexactly(body_len)
-    except asyncio.IncompleteReadError:
-        raise CodecError("connection closed mid-frame") from None
-    return decode_frame(header, body)
+async def _control_op(server: InferenceServer,
+                      message: dict) -> dict | None:
+    """A control request's reply fields; ``None`` if it names no op."""
+    op = message.get("op")
+    if op == "ping":
+        return {}
+    if op == "metrics":
+        snapshot = server.snapshot(deployment=message.get("deployment"))
+        return {"metrics": snapshot.to_dict()}
+    if op == "deployments":
+        return {"deployments": server.deployments()}
+    if op == "telemetry":
+        from repro.telemetry import get_registry
+        return {"telemetry": get_registry().to_dict()}
+    if op == "traces":
+        from repro.telemetry import get_tracer
+        recorder = get_tracer().recorder
+        return {"traces": recorder.traces(
+                    limit=int(message.get("limit", 16))),
+                "events": recorder.events(limit=64)}
+    if op == "rollout":
+        return {"rollout": await server.rollout(
+            str(message.get("alias")), str(message.get("to")),
+            drain=bool(message.get("drain", True)))}
+    return None
 
 
 async def _handle_connection(server: InferenceServer,
@@ -144,38 +117,11 @@ async def _handle_connection(server: InferenceServer,
 
     async def serve_one(message: dict, in_arrays: dict) -> None:
         request_id = message.get("id")
+        reply: dict = {"id": request_id, "ok": True}
         try:
-            if message.get("op") == "ping":
-                await respond({"id": request_id, "ok": True})
-                return
-            if message.get("op") == "metrics":
-                snapshot = server.snapshot(
-                    deployment=message.get("deployment"))
-                await respond({"id": request_id,
-                               "metrics": snapshot.to_dict()})
-                return
-            if message.get("op") == "deployments":
-                await respond({"id": request_id,
-                               "deployments": server.deployments()})
-                return
-            if message.get("op") == "telemetry":
-                from repro.telemetry import get_registry
-                await respond({"id": request_id,
-                               "telemetry": get_registry().to_dict()})
-                return
-            if message.get("op") == "traces":
-                from repro.telemetry import get_tracer
-                recorder = get_tracer().recorder
-                limit = int(message.get("limit", 16))
-                await respond({"id": request_id,
-                               "traces": recorder.traces(limit=limit),
-                               "events": recorder.events(limit=64)})
-                return
-            if message.get("op") == "rollout":
-                outcome = await server.rollout(
-                    str(message.get("alias")), str(message.get("to")),
-                    drain=bool(message.get("drain", True)))
-                await respond({"id": request_id, "rollout": outcome})
+            fields = await _control_op(server, message)
+            if fields is not None:
+                await respond(dict(reply, **fields))
                 return
             image = in_arrays.get("image")
             if image is None:
@@ -191,28 +137,25 @@ async def _handle_connection(server: InferenceServer,
                 deployment=message.get("deployment"),
                 key=(str(key) if key is not None else None),
                 trace=message.get("trace"))
-            payload = result.to_dict()
-            payload["id"] = request_id
-            payload.pop("logits", None)
-            await respond(payload, {"logits": np.asarray(result.logits)})
+            reply.update(result.to_dict())
+            reply.pop("logits", None)
+            await respond(reply, {"logits": np.asarray(result.logits)})
         except (ReproError, ValueError, TypeError) as error:
             # TypeError covers malformed knobs (a non-numeric priority):
             # every failure must answer, or a pipelining client waits
-            # on this id forever.  The structured payload
-            # carries the exception type, so timeouts and backpressure
-            # resurface client-side as the same typed errors.
-            await respond({"id": request_id,
-                           "error": _error_payload(error)})
+            # on this id forever.  The envelope carries the exception
+            # type, so timeouts and backpressure resurface client-side
+            # as the same typed errors.
+            await respond(dict(error_reply(error), id=request_id))
 
     try:
         while True:
             # No delimiter to resync on: bytes that are not a valid
             # frame answer once and hang up.
             try:
-                frame = await _read_frame_async(reader)
+                frame = await read_frame_async(reader)
             except CodecError as error:
-                await respond({"id": None,
-                               "error": _error_payload(error)})
+                await respond(dict(error_reply(error), id=None))
                 break
             if frame is None:
                 break
@@ -314,7 +257,7 @@ class TcpClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                frame = await _read_frame_async(self._reader)
+                frame = await read_frame_async(self._reader)
                 if frame is None:
                     break
                 payload, arrays = frame
@@ -322,11 +265,11 @@ class TcpClient:
                     payload[name] = array.tolist()
                 future = self._pending.pop(payload.get("id"), None)
                 if future is not None and not future.done():
-                    if "error" in payload:
-                        future.set_exception(
-                            _raise_remote_error(payload["error"]))
-                    else:
+                    if payload.get("ok"):
                         future.set_result(payload)
+                    else:
+                        future.set_exception(
+                            error_from_reply(payload, ServeError))
         except (CodecError, ConnectionError, OSError):
             pass  # fall through: every pending request fails below
         finally:

@@ -12,9 +12,9 @@ Pinned here:
   adversarially extreme thresholds in both directions;
 * :func:`install_table` wires the measured COO ratio into the codec,
   the ``coo_ratio=`` keyword overrides it per frame;
-* ``SweepDriver(saturate=True)`` changes scheduling only: merged
-  outcomes are bit-identical to the fixed-shard run, the summary says
-  so, and combining it with ``adaptive`` is rejected.
+* ``SweepDriver(saturate=True)`` changes scheduling only: two tasks on
+  two lanes merge bit-identically to one fixed-shard lane, and the
+  summary records the chosen sizes.
 """
 
 import numpy as np
@@ -41,7 +41,6 @@ from repro.core.engine.calibrate import (
     _crossover,
     probe_batch,
 )
-from repro.errors import ConfigurationError
 from repro.harness.artifacts import ArtifactStore
 from repro.harness.sweep import SweepDriver, SweepTask
 from repro.models import performance_network
@@ -228,27 +227,31 @@ class TestCodecRatioWiring:
 
 class TestSaturatingShards:
     def test_saturate_is_scheduling_only(self, rng):
-        net = tiny_network(rng)
-        config = AcceleratorConfig.for_network(net)
-        images = rng.random((48,) + tuple(net.input_shape))
-        labels = rng.integers(0, 5, size=48)
-
-        def outcome(**kwargs):
-            task = SweepTask(key="cell", network=net, config=config,
-                             images=images, labels=labels)
-            driver = SweepDriver(workers=1, shard_size=8, **kwargs)
-            result = driver.run([task])["cell"]
-            return result, driver.last_summary
-
-        fixed, fixed_summary = outcome()
-        saturated, summary = outcome(saturate=True)
-        np.testing.assert_array_equal(saturated.predictions,
-                                      fixed.predictions)
-        assert saturated.trace.total_cycles == fixed.trace.total_cycles
-        assert (saturated.trace.total_adder_ops
-                == fixed.trace.total_adder_ops)
-        assert summary.saturate and not fixed_summary.saturate
-        assert summary.task_shard_sizes["cell"] >= 1
+        tasks = []
+        for index in range(2):
+            net = tiny_network(rng)
+            tasks.append(SweepTask(
+                key=f"cell{index}", network=net,
+                config=AcceleratorConfig.for_network(net),
+                images=rng.random((24,) + tuple(net.input_shape)),
+                labels=rng.integers(0, 5, size=24)))
+        fixed_driver = SweepDriver(workers=1, shard_size=8)
+        fixed = fixed_driver.run(tasks)
+        driver = SweepDriver(workers=2, shard_size=8, saturate=True)
+        saturated = driver.run(tasks)
+        for task in tasks:
+            np.testing.assert_array_equal(saturated[task.key].predictions,
+                                          fixed[task.key].predictions)
+            assert saturated[task.key].trace == fixed[task.key].trace
+            assert saturated[task.key].correct == fixed[task.key].correct
+        summary = driver.last_summary
+        assert summary.saturate and not fixed_driver.last_summary.saturate
+        assert set(summary.task_shard_sizes) == {t.key for t in tasks}
+        for task in tasks:
+            assert 1 <= summary.task_shard_sizes[task.key] <= task.num_images
+        assert summary.num_units == sum(
+            -(-t.num_images // summary.task_shard_sizes[t.key])
+            for t in tasks)
 
     def test_saturate_uses_calibrated_dispatch_cost(self, rng):
         net = tiny_network(rng)
@@ -264,7 +267,3 @@ class TestSaturatingShards:
                          labels=np.zeros(40, dtype=np.int64))
         sizes = driver._saturating_shard_sizes([task])
         assert sizes == [20]  # ceil(40 / (1 lane * 2)) balance cap
-
-    def test_adaptive_and_saturate_are_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            SweepDriver(adaptive=True, saturate=True)

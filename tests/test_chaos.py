@@ -341,6 +341,30 @@ class TestJoinBackoff:
         assert stats.to_dict()["disconnects"] == 0
 
 
+    def test_group_hangup_mid_handshake_is_a_disconnect(self):
+        """A group that hangs up before answering the join hello (its
+        listener closed as the run ended) is a disconnect to count and
+        retry, not a token refusal."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+
+        def hang_up():
+            conn, _ = listener.accept()
+            conn.recv(1 << 16)
+            conn.close()
+
+        thread = threading.Thread(target=hang_up, daemon=True)
+        thread.start()
+        try:
+            stats = join_fabric("127.0.0.1", listener.getsockname()[1])
+        finally:
+            listener.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (stats.connects, stats.disconnects) == (0, 1)
+
+
 class TestServeUnderChaos:
     def test_frame_faults_exactly_once(self, rng):
         """Dup/drop/delay on the wire: every request answers once,

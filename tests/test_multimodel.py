@@ -29,6 +29,7 @@ import json
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -586,6 +587,46 @@ class TestElasticFabric:
             group.stop()
         joiner.join(timeout=10)
         assert not joiner.is_alive()
+
+    def test_concurrent_joins_each_become_one_lane(self, rng):
+        """Handshakes run on their own threads: more joiners than cores
+        dialing at once are each admitted exactly once, and the merge
+        stays bit-identical."""
+        deployment = deployment_for(alpha_network(rng))
+        items = self._items(rng, deployment, 8)
+        with WorkerGroup([ThreadWorker()],
+                         deployments=[deployment]) as baseline_group:
+            baseline = baseline_group.run(items)
+        group = WorkerGroup([ThreadWorker(name="local")],
+                            deployments=[deployment]).start()
+        listener = GroupListener(group, "127.0.0.1", 0).start()
+        names = [f"joiner{i}" for i in range(4)]
+        joiners = [threading.Thread(
+            target=join_fabric, args=("127.0.0.1", listener.port),
+            kwargs={"name": name}, daemon=True) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the handshake threads
+        try:
+            for joiner in joiners:
+                joiner.start()
+            deadline = time.time() + 30
+            while (group.metrics.lanes_added < len(names)
+                   and time.time() < deadline):
+                time.sleep(0.02)
+            sys.setswitchinterval(interval)
+            assert group.metrics.lanes_added == len(names)
+            assert sorted(listener.joined) == names
+            results = group.run(items)
+            for base, other in zip(baseline, results):
+                np.testing.assert_array_equal(base.logits, other.logits)
+                assert base.merged_trace() == other.merged_trace()
+        finally:
+            sys.setswitchinterval(interval)
+            listener.close()
+            group.stop()
+        for joiner in joiners:
+            joiner.join(timeout=10)
+            assert not joiner.is_alive()
 
     def test_heterogeneous_sweep_with_mid_run_join_is_bit_exact(
             self, rng):

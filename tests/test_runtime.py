@@ -18,6 +18,7 @@ The contracts pinned here:
 """
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -45,10 +46,12 @@ from repro.runtime import (
     WorkerGroup,
     WorkerServer,
     create_workers,
-    decode_blob,
-    encode_blob,
+    decode_frame,
+    encode_frame,
     normalize_worker_specs,
+    parse_frame_prefix,
 )
+from repro.runtime.codec import FRAME_PREFIX_LEN
 
 
 def tiny_network(rng, num_steps=3):
@@ -87,8 +90,22 @@ def run_chunk(worker, items):
 
 class TestCodec:
     def test_blob_roundtrip_carries_deployments(self, rng):
+        """``deploy`` ships the pickled table as a raw uint8 body array
+        and the worker side installs it intact."""
+        from repro.runtime.remote import _handle_request
         deployment = tiny_deployment(rng)
-        restored = decode_blob(encode_blob([deployment]))[0]
+        blob = np.frombuffer(pickle.dumps([deployment]), dtype=np.uint8)
+        frame = encode_frame({"op": "deploy"}, {"blob": blob})
+        header_len, _ = parse_frame_prefix(frame[:FRAME_PREFIX_LEN])
+        end = FRAME_PREFIX_LEN + header_len
+        message, arrays = decode_frame(frame[FRAME_PREFIX_LEN:end],
+                                       frame[end:])
+        assert "blob" not in message
+        table = []
+        reply, _ = _handle_request(table, message, arrays, token=None,
+                                   window=1)
+        assert reply == {"ok": True, "deployments": 1}
+        restored = table[0]
         assert restored.backend == deployment.backend
         images = rng.random((2,) + deployment.network.input_shape)
         a, _ = deployment.engine().run_batch(images)
@@ -560,7 +577,7 @@ class TestWindowedDispatch:
             assert base.merged_trace() == other.merged_trace()
 
     def test_window_negotiation_and_validation(self, rng):
-        from repro.runtime.remote import _MAX_REMOTE_WINDOW
+        from repro.runtime.workers import MAX_WINDOW
         with pytest.raises(Exception):
             WorkerServer(window=0)
         with pytest.raises(ConfigurationError):
@@ -571,7 +588,7 @@ class TestWindowedDispatch:
             try:
                 # The server's advertisement caps the client's window.
                 assert worker.pipeline_depth == 2
-                assert worker.pipeline_depth <= _MAX_REMOTE_WINDOW
+                assert worker.pipeline_depth <= MAX_WINDOW
             finally:
                 worker.close()
 

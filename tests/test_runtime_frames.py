@@ -6,9 +6,12 @@ The contracts pinned here:
   and rejects every malformed or hostile frame with a typed
   :class:`~repro.errors.CodecError` *before* allocating a buffer for
   it (truncations, oversized length prefixes, dtype smuggling,
-  out-of-bounds descriptors);
+  out-of-bounds descriptors, COO expansion past the per-frame cap);
+* the blocking and the asyncio stream readers agree on every input;
 * frames are the only wire format, from the first byte of a connection:
-  remote lanes merge bit-identically to an in-process lane;
+  remote lanes merge bit-identically to an in-process lane, and a
+  deployment table larger than the 1 MiB header cap deploys to both
+  ``--listen`` and ``--join`` lanes;
 * the shared-memory lane of :class:`ProcessWorker` is equally inert:
   ``REPRO_NO_SHM=1`` (the pickle path) produces the same bits;
 * batched submission (``submit_many`` into ``execute_many`` chunks)
@@ -16,9 +19,13 @@ The contracts pinned here:
   task errors failing only their own future.
 """
 
+import asyncio
 import io
 import json
+import pickle
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +33,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodecError, DeploymentError
+from repro.core import AcceleratorConfig
+from repro.models import performance_network
 from repro.runtime import (
+    Deployment,
+    GroupListener,
     ProcessWorker,
     RemoteWorker,
     ThreadWorker,
@@ -35,16 +46,20 @@ from repro.runtime import (
     WorkerServer,
     decode_frame,
     encode_frame,
+    join_fabric,
     parse_frame_prefix,
     read_frame,
     shm_available,
 )
+from repro.runtime import codec
 from repro.runtime.codec import (
     _WIRE_DTYPES,
     FRAME_MAGIC,
     FRAME_PREFIX_LEN,
     MAX_BODY_BYTES,
+    MAX_COO_DENSE_BYTES,
     MAX_HEADER_BYTES,
+    read_frame_async,
 )
 from test_runtime import make_items, run_group, tiny_deployment
 
@@ -213,6 +228,41 @@ class TestHostileFrames:
         with pytest.raises(CodecError, match="index out of range"):
             read_frame(io.BytesIO(frame))
 
+    def test_coo_expansion_capped_per_frame(self):
+        """A few hundred header bytes may not demand a gigabyte of
+        zeros: every COO allocation is checked against what is left of
+        the frame's cap first."""
+        huge = frame_of(
+            {"payload": {}, "arrays": {
+                "x": {"dtype": "float64", "shape": [1 << 27],
+                      "enc": "coo", "count": 0, "index_offset": 0,
+                      "index_nbytes": 0, "offset": 0, "nbytes": 0}}})
+        assert len(huge) < 256
+        with pytest.raises(CodecError, match="COO arrays expand past"):
+            read_frame(io.BytesIO(huge))
+        # Each descriptor under the cap, together over it.
+        half = MAX_COO_DENSE_BYTES // 2 + 8
+        empty = {"dtype": "uint8", "shape": [half], "enc": "coo",
+                 "count": 0, "index_offset": 0, "index_nbytes": 0,
+                 "offset": 0, "nbytes": 0}
+        with pytest.raises(CodecError, match="COO arrays expand past"):
+            read_frame(io.BytesIO(frame_of(
+                {"payload": {}, "arrays": {"a": empty, "b": empty}})))
+
+    def test_encoder_ships_raw_past_the_coo_cap(self, rng, monkeypatch):
+        monkeypatch.setattr(codec, "MAX_COO_DENSE_BYTES", 40_000)
+        arrays = {"a": np.zeros(4096), "b": np.zeros(4096)}
+        arrays["a"][7] = arrays["b"][9] = 1.0
+        frame = encode_frame({}, arrays)
+        header_len, _ = parse_frame_prefix(frame[:FRAME_PREFIX_LEN])
+        header = json.loads(frame[FRAME_PREFIX_LEN:
+                                  FRAME_PREFIX_LEN + header_len])
+        assert [header["arrays"][n]["enc"] for n in "ab"] == \
+            ["coo", "raw"]
+        _, decoded = read_frame(io.BytesIO(frame))
+        for name, array in arrays.items():
+            np.testing.assert_array_equal(decoded[name], array)
+
     def test_unknown_encoding(self):
         frame = frame_of(
             {"payload": {}, "arrays": {
@@ -259,27 +309,49 @@ _HEADER = st.one_of(
 
 def _decodes_or_codec_error(call):
     """Run ``call``; a frame, ``None`` or a CodecError are the only
-    outcomes a wire decoder may have."""
+    outcomes a wire decoder may have.  Returns a comparable summary."""
     try:
         outcome = call()
     except CodecError:
-        return
-    assert outcome is None or (isinstance(outcome, tuple)
-                               and isinstance(outcome[0], dict)
-                               and isinstance(outcome[1], dict))
+        return "CodecError"
+    if outcome is None:
+        return None
+    assert (isinstance(outcome, tuple) and isinstance(outcome[0], dict)
+            and isinstance(outcome[1], dict))
+    payload, arrays = outcome
+    return repr(payload), {name: (str(array.dtype), array.shape,
+                                  array.tobytes())
+                           for name, array in arrays.items()}
+
+
+def _read_async(data: bytes):
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_frame_async(reader)
+    return asyncio.run(read())
+
+
+def _both_readers_agree(data: bytes) -> None:
+    """The blocking and the asyncio reader: same frame, both
+    CodecError, or both None at a clean EOF."""
+    sync = _decodes_or_codec_error(lambda: read_frame(io.BytesIO(data)))
+    assert _decodes_or_codec_error(lambda: _read_async(data)) == sync
 
 
 class TestCodecFuzz:
     """Every byte that reaches either socket is parsed by the codec: on
     any input it yields a frame, ``None`` at clean EOF, or a typed
-    :class:`CodecError` — never any other exception."""
+    :class:`CodecError` — never any other exception — and the blocking
+    (fabric) and asyncio (serving) readers agree on which."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.one_of(st.binary(max_size=128),
                           st.builds(lambda tail: FRAME_MAGIC + tail,
                                     st.binary(max_size=128))))
     def test_read_frame_on_arbitrary_bytes(self, data):
-        _decodes_or_codec_error(lambda: read_frame(io.BytesIO(data)))
+        _both_readers_agree(data)
 
     @settings(max_examples=150, deadline=None)
     @given(header=_HEADER, body=st.binary(max_size=96))
@@ -288,8 +360,15 @@ class TestCodecFuzz:
         _decodes_or_codec_error(lambda: decode_frame(header, body))
         # The same bytes behind a well-formed prefix take the stream path.
         stream = _PREFIX.pack(FRAME_MAGIC, len(header), len(body))
-        _decodes_or_codec_error(
-            lambda: read_frame(io.BytesIO(stream + header + body)))
+        _both_readers_agree(stream + header + body)
+
+    def test_readers_agree_on_valid_and_truncated_frames(self, rng):
+        frame = encode_frame({"op": "x"}, {"a": rng.random((2, 3)),
+                                           "s": np.zeros(512)})
+        for data in (frame, frame + frame, frame[:3], frame[:20],
+                     frame[:-1], b""):
+            _both_readers_agree(data)
+        assert _read_async(frame)[1]["a"].shape == (2, 3)
 
 
 class TestFrameNegotiation:
@@ -390,3 +469,63 @@ class TestBatchedSubmission:
         with pytest.raises(ConfigurationError):
             WorkerGroup([ThreadWorker()], deployments=[deployment],
                         max_batch_items=0)
+
+
+def large_deployment() -> Deployment:
+    """A deployment whose pickled table is over the 1 MiB header cap
+    (a 256 x 4096 hidden layer) yet compiles and runs in milliseconds."""
+    net = performance_network(
+        [("conv", 4, 3, 1, 1), ("pool", 2), ("flatten",),
+         ("linear", 4096), ("linear", 10)],
+        input_shape=(1, 16, 16), num_steps=3, seed=11)
+    deployment = Deployment(network=net,
+                            config=AcceleratorConfig.for_network(net))
+    assert len(pickle.dumps([deployment])) > MAX_HEADER_BYTES
+    return deployment
+
+
+class TestLargeDeploy:
+    """The deploy table rides in the frame body, so a network whose
+    pickle exceeds the header cap still reaches remote lanes."""
+
+    def test_listen_lane(self, rng):
+        deployment = large_deployment()
+        items = make_items(rng, deployment, count=3)
+        baseline, _ = run_group([ThreadWorker()], deployment, items)
+        with WorkerServer() as server:
+            results, metrics = run_group(
+                [RemoteWorker("127.0.0.1", server.port, name="wide")],
+                deployment, items)
+        assert metrics.worker_crashes == 0
+        for base, other in zip(baseline, results):
+            assert other.worker == "wide"
+            np.testing.assert_array_equal(base.logits, other.logits)
+            assert base.merged_trace() == other.merged_trace()
+
+    def test_join_lane(self, rng):
+        deployment = large_deployment()
+        items = make_items(rng, deployment, count=3)
+        baseline, _ = run_group([ThreadWorker()], deployment, items)
+        group = WorkerGroup([ThreadWorker(name="local")],
+                            deployments=[deployment]).start()
+        listener = GroupListener(group, "127.0.0.1", 0).start()
+        joiner = threading.Thread(
+            target=join_fabric, args=("127.0.0.1", listener.port),
+            kwargs={"name": "visitor"}, daemon=True)
+        joiner.start()
+        try:
+            deadline = time.time() + 20
+            while (group.metrics.lanes_added < 1
+                   and time.time() < deadline):
+                time.sleep(0.02)
+            assert "visitor" in group.alive_workers()
+            group.remove_lane("local")
+            results = group.run(items)
+        finally:
+            listener.close()
+            group.stop()
+        joiner.join(timeout=10)
+        for base, other in zip(baseline, results):
+            assert other.worker == "visitor"
+            np.testing.assert_array_equal(base.logits, other.logits)
+            assert base.merged_trace() == other.merged_trace()
