@@ -1,11 +1,12 @@
 """Backend benchmark — reference vs vectorized vs sparse wall clock.
 
 Times batched LeNet-5 inference on the execution engines, checks the
-backends agree on predictions and cycle totals while measuring, and
+backends agree on logits, cycle and adder-op totals while measuring, and
 records the numbers (per-image seconds per backend, batch-size scaling of
 the vectorized engine, and the headline speedups) to
 ``artifacts/bench_backends.json`` so the performance trajectory is
-tracked across PRs.  Two gates:
+tracked across PRs.  Two gates, checked under pytest and when run as a
+script:
 
 * the vectorized engine must be >= 10x faster than reference for
   batched inference (in practice it lands orders of magnitude beyond);
@@ -60,21 +61,22 @@ def run_backend_comparison(runner) -> dict:
     vectorized.deploy(snn, name="LeNet-5")
 
     ref_images = test.images[:REFERENCE_IMAGES]
-    (ref_preds, ref_traces), ref_seconds = _time(
-        lambda: reference.run(ref_images))
+    (ref_logits, ref_traces), ref_seconds = _time(
+        lambda: reference.run_logits(ref_images))
     ref_per_image = ref_seconds / len(ref_images)
 
     scaling = {}
     vec_per_image = None
     for batch in BATCH_SIZES:
         images = test.images[:min(batch, len(test.images))]
-        (vec_preds, vec_traces), vec_seconds = _time(
-            lambda: vectorized.run(images))
+        (vec_logits, vec_traces), vec_seconds = _time(
+            lambda: vectorized.run_logits(images))
         scaling[len(images)] = vec_seconds / len(images)
         vec_per_image = scaling[len(images)]
         # Correctness rides along with every measurement.
         shared = min(len(images), len(ref_images))
-        np.testing.assert_array_equal(vec_preds[:shared], ref_preds[:shared])
+        np.testing.assert_array_equal(vec_logits[:shared],
+                                      ref_logits[:shared])
         for ref_trace, vec_trace in zip(ref_traces, vec_traces):
             assert ref_trace.total_cycles == vec_trace.total_cycles
             assert ref_trace.total_adder_ops == vec_trace.total_adder_ops
@@ -171,6 +173,13 @@ def _render_sparse(results: dict) -> Table:
     return table
 
 
+def check_gates(results: dict, sparse_results: dict) -> None:
+    assert results["speedup_batched"] >= 10.0, \
+        "vectorized backend must be >= 10x faster for batched inference"
+    assert sparse_results["buckets"][0]["speedup"] > 1.0, \
+        "sparse backend must beat vectorized at the sparsest bucket"
+
+
 def test_backend_speedup_report(runner, benchmark, rng):
     results = run_backend_comparison(runner)
     print_table(_render(results))
@@ -179,11 +188,7 @@ def test_backend_speedup_report(runner, benchmark, rng):
 
     write_artifact(RESULTS_PATH,
                    {**results, "sparse_by_density": sparse_results})
-
-    assert results["speedup_batched"] >= 10.0, \
-        "vectorized backend must be >= 10x faster for batched inference"
-    assert sparse_results["buckets"][0]["speedup"] > 1.0, \
-        "sparse backend must beat vectorized at the sparsest bucket"
+    check_gates(results, sparse_results)
 
     snn, _ = runner.lenet_snn(3)
     _, test = runner.mnist()
@@ -208,3 +213,4 @@ if __name__ == "__main__":
     print(_render_sparse(sparse_bench).render())
     write_artifact(RESULTS_PATH,
                    {**bench_results, "sparse_by_density": sparse_bench})
+    check_gates(bench_results, sparse_bench)

@@ -39,7 +39,7 @@ fixed ``--shard-size``, growing them until lanes spend their time
 computing rather than dispatching.
 
 ``calibrate`` measures a deployment's sparse/dense crossover densities
-(per-layer dense fallback, popcount gather, COO wire encoding, backend
+(per-layer dense fallback, COO wire encoding, backend
 routing point, fabric dispatch cost) from probe batches and persists the
 :class:`~repro.core.engine.calibrate.CalibrationTable` in the artifact
 store keyed by the model's content key.  Engines constructed afterwards
@@ -168,8 +168,6 @@ def _run_calibrate(runner: ExperimentRunner, args) -> None:
     for label in sorted(table.hook_crossovers):
         print(f"  {label:<24} dense fallback at "
               f"{table.hook_crossovers[label]:.3f} active")
-    print(f"  {'popcount gather':<24} dense pass above "
-          f"{table.popcount_gather:.3f} nonzero")
     print(f"  {'codec COO':<24} raw buffers above "
           f"{table.coo_ratio:.3f} of raw bytes")
     print(f"  {'backend routing':<24} auto picks sparse at <= "

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.bram import BramPlan, plan_bram
 from repro.core.config import AcceleratorConfig
 from repro.core.latency import channels_per_pass
@@ -18,6 +20,9 @@ from repro.errors import CompilationError
 from repro.snn.spec import QuantizedNetwork
 
 __all__ = ["ConvSchedule", "LayerProgram", "CompiledModel", "compile_network"]
+
+#: float64 represents every integer of magnitude below this exactly.
+FLOAT64_EXACT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,11 @@ class LayerProgram:
     spec: object
     conv_schedule: ConvSchedule | None = None
     weights_on_chip: bool = True
+    #: Largest ``|acc|`` any partial sum of the layer's pre-bias
+    #: accumulator can reach: ``max_row sum|w| * (2**T - 1)`` (conv and
+    #: linear layers; 0 elsewhere).  Engines pick their GEMM precision
+    #: from it.
+    acc_bound: int = 0
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,34 @@ def _schedule_conv(spec, config: AcceleratorConfig) -> ConvSchedule:
     return ConvSchedule(channels_per_unit_pass=p, rounds=tuple(rounds))
 
 
+def _accumulator_bound(weights: np.ndarray, num_steps: int) -> int:
+    """``max_row sum|w| * (2**T - 1)``, one output channel per row.
+
+    The rows are summed a block at a time, so no int64 copy of a large
+    weight tensor is ever made.
+    """
+    rows = weights.reshape(weights.shape[0], -1)
+    block = max(1, (1 << 16) // max(rows.shape[1], 1))
+    widest = 0
+    for lo in range(0, rows.shape[0], block):
+        sums = np.abs(rows[lo:lo + block], dtype=np.int64).sum(axis=1)
+        widest = max(widest, int(sums.max()))
+    return widest * ((1 << num_steps) - 1)
+
+
+def _checked_bound(name: str, spec, num_steps: int) -> int:
+    """The layer's accumulator bound; raises when the biased accumulator
+    could leave float64's exact-integer range."""
+    bound = _accumulator_bound(spec.weights, num_steps)
+    reach = bound + int(np.abs(spec.bias).max(initial=0))
+    if reach >= FLOAT64_EXACT:
+        raise CompilationError(
+            f"{name}: accumulator can reach {reach}, beyond the 2**53 "
+            f"range in which float64 holds every integer exactly"
+        )
+    return bound
+
+
 def compile_network(
     network: QuantizedNetwork,
     config: AcceleratorConfig,
@@ -87,8 +125,9 @@ def compile_network(
     """Validate and schedule ``network`` for ``config``.
 
     Raises :class:`~repro.errors.CompilationError` when a layer cannot map
-    (kernel taller than the adder array, rows wider than the units, or
-    activations exceeding buffer capacity).
+    (kernel taller than the adder array, rows wider than the units,
+    activations exceeding buffer capacity, or an accumulator that could
+    reach ``2**53``).
     """
     if network.weight_bits != config.weight_bits:
         raise CompilationError(
@@ -111,9 +150,11 @@ def compile_network(
                     f"unit's {config.conv_unit.rows} adder rows"
                 )
             schedule = _schedule_conv(spec, config)
+            name = f"conv{conv_idx}"
             programs.append(LayerProgram(
-                index=i, name=f"conv{conv_idx}", kind="conv", spec=spec,
-                conv_schedule=schedule, weights_on_chip=weights_on_chip))
+                index=i, name=name, kind="conv", spec=spec,
+                conv_schedule=schedule, weights_on_chip=weights_on_chip,
+                acc_bound=_checked_bound(name, spec, network.num_steps)))
         elif spec.kind == "pool":
             pool_idx += 1
             if spec.size > config.pool_unit.rows:
@@ -134,9 +175,11 @@ def compile_network(
                 index=i, name="flatten", kind="flatten", spec=spec))
         else:
             fc_idx += 1
+            name = f"fc{fc_idx}"
             programs.append(LayerProgram(
-                index=i, name=f"fc{fc_idx}", kind="linear", spec=spec,
-                weights_on_chip=weights_on_chip))
+                index=i, name=name, kind="linear", spec=spec,
+                weights_on_chip=weights_on_chip,
+                acc_bound=_checked_bound(name, spec, network.num_steps)))
 
     bram = plan_bram(network, config.memory, weights_on_chip)
     activation_bits = max(bram.activation_2d_bits, bram.activation_1d_bits)

@@ -1,10 +1,9 @@
 """Measured sparsity crossovers: calibrate, persist, route.
 
-The sparse engine's speed hinges on three guesses: the per-hook density
+The sparse engine's speed hinges on two guesses: the per-hook density
 above which gather/scatter loses to the dense kernel
-(``DENSE_FALLBACK_DENSITY``), the density below which the popcount
-gather beats ``T`` full passes, and the byte ratio below which COO wire
-frames beat raw buffers.  All three crossovers depend on the *deployed
+(``DENSE_FALLBACK_DENSITY``), and the byte ratio below which COO wire
+frames beat raw buffers.  Both crossovers depend on the *deployed
 model* (layer geometry, kernel sizes, batch shapes) and on the host —
 not on anything a constant can know.  This module makes them measured:
 
@@ -42,8 +41,7 @@ import numpy as np
 from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.config import AcceleratorConfig
 from repro.core.engine.cache import content_key, warm_compile
-from repro.core.engine.vectorized import VectorizedEngine
-from repro.nn import functional as F
+from repro.core.engine.vectorized import VectorizedEngine, patch_columns
 
 __all__ = [
     "CalibrationTable",
@@ -67,7 +65,6 @@ __all__ = [
 #: The historical constants — what every engine uses when no table
 #: exists.  Calibration replaces them with measurements, per deployment.
 DEFAULT_DENSE_FALLBACK = 0.85     # per-hook gather -> dense crossover
-DEFAULT_POPCOUNT_GATHER = 0.5     # nonzero-gather popcount crossover
 DEFAULT_ROUTE_DENSITY = 0.25      # auto: batches denser go vectorized
 DEFAULT_COO_RATIO = 0.9           # codec: COO wins below this byte ratio
 #: Assumed per-unit fabric dispatch cost when no table measured one —
@@ -86,7 +83,7 @@ class CalibrationTable:
 
     Densities are nonzero fractions in the metric each runtime gate
     tests: im2col patch-row activity for conv hooks, active-tap fraction
-    for linear hooks, element density for popcounts and batch routing.
+    for linear hooks, element density for batch routing.
     ``probes`` keeps the raw (density, sparse_s, dense_s) points for the
     record; nothing reads them back.
     """
@@ -94,7 +91,6 @@ class CalibrationTable:
     content_key: str
     backend_crossover: float = DEFAULT_ROUTE_DENSITY
     hook_crossovers: dict = field(default_factory=dict)  # "layer:kind" ->
-    popcount_gather: float = DEFAULT_POPCOUNT_GATHER
     coo_ratio: float = DEFAULT_COO_RATIO
     dispatch_cost_s: float | None = None
     probe_images: int = 0
@@ -110,7 +106,6 @@ class CalibrationTable:
             "content_key": self.content_key,
             "backend_crossover": self.backend_crossover,
             "hook_crossovers": dict(self.hook_crossovers),
-            "popcount_gather": self.popcount_gather,
             "coo_ratio": self.coo_ratio,
             "dispatch_cost_s": self.dispatch_cost_s,
             "probe_images": self.probe_images,
@@ -125,7 +120,6 @@ class CalibrationTable:
             backend_crossover=float(payload["backend_crossover"]),
             hook_crossovers={k: float(v) for k, v in
                              payload.get("hook_crossovers", {}).items()},
-            popcount_gather=float(payload["popcount_gather"]),
             coo_ratio=float(payload["coo_ratio"]),
             dispatch_cost_s=(None if payload.get("dispatch_cost_s") is None
                              else float(payload["dispatch_cost_s"])),
@@ -140,7 +134,6 @@ class EngineThresholds:
     """What an engine instance actually consults — table or defaults."""
 
     dense_fallback: float = DEFAULT_DENSE_FALLBACK
-    popcount_gather: float = DEFAULT_POPCOUNT_GATHER
     route_density: float = DEFAULT_ROUTE_DENSITY
     by_layer: dict = field(default_factory=dict)  # "layer:kind" -> density
     calibrated: bool = False
@@ -258,7 +251,6 @@ def thresholds_for(compiled, calibration: LatencyCalibration = DEFAULT_LATENCY,
 def _table_thresholds(table: CalibrationTable) -> EngineThresholds:
     return EngineThresholds(
         dense_fallback=DEFAULT_DENSE_FALLBACK,
-        popcount_gather=table.popcount_gather,
         route_density=table.backend_crossover,
         by_layer=dict(table.hook_crossovers),
         calibrated=True,
@@ -369,7 +361,6 @@ class _CaptureEngine(VectorizedEngine):
     def __init__(self, compiled, calibration) -> None:
         super().__init__(compiled, calibration)
         self.records: list[tuple[str, object, np.ndarray]] = []
-        self.pop_records: list[tuple] = []
 
     def _conv_acc(self, spec, x):
         self.records.append(("conv", spec, x))
@@ -379,10 +370,6 @@ class _CaptureEngine(VectorizedEngine):
         self.records.append(("linear", spec, x))
         return super()._linear_acc(spec, x)
 
-    def _popcount_sum(self, x, t, weights=None, axis=None):
-        self.pop_records.append((x, t, weights, axis))
-        return super()._popcount_sum(x, t, weights, axis)
-
 
 def _forced_sparse(compiled, calibration):
     """A SparseEngine that never falls back (crossovers pinned to 1.0)."""
@@ -390,7 +377,7 @@ def _forced_sparse(compiled, calibration):
 
     engine = SparseEngine(compiled, calibration)
     engine.apply_thresholds(EngineThresholds(
-        dense_fallback=1.0, popcount_gather=1.0, by_layer={}))
+        dense_fallback=1.0, by_layer={}))
     return engine
 
 
@@ -400,9 +387,7 @@ def _conv_row_density(spec, x: np.ndarray) -> float | None:
     if not live.any():
         return None
     xs = x if live.all() else x[live]
-    cols = F.im2col(xs.astype(np.float64), spec.kernel_size,
-                    spec.stride, spec.padding)
-    return float(cols.reshape(-1, cols.shape[-1]).any(axis=1).mean())
+    return float(patch_columns(spec, xs, xs.dtype).any(axis=0).mean())
 
 
 def _linear_tap_density(x: np.ndarray) -> float | None:
@@ -414,13 +399,12 @@ def _linear_tap_density(x: np.ndarray) -> float | None:
 
 
 def _probe_hooks(compiled, calibration, batches: dict, rounds: int,
-                 ) -> tuple[dict, float, dict]:
-    """Per-layer (and popcount) crossovers from timed hook probes."""
+                 ) -> tuple[dict, dict]:
+    """Per-layer crossovers from timed hook probes."""
     spec_names = {id(p.spec): p.name for p in compiled.programs}
     dense = VectorizedEngine(compiled, calibration)
     forced = _forced_sparse(compiled, calibration)
     layer_points: dict[str, list] = {}
-    pop_points: list = []
     for images in batches.values():
         capture = _CaptureEngine(compiled, calibration)
         capture.run_batch(images)
@@ -440,42 +424,24 @@ def _probe_hooks(compiled, calibration, batches: dict, rounds: int,
                 metric,
                 _best_time(lambda: sparse_fn(spec, x), rounds),
                 _best_time(lambda: dense_fn(spec, x), rounds)))
-        for x, t, weights, axis in capture.pop_records:
-            flat = x.reshape(x.shape[0], -1)
-            if not flat.size:
-                continue
-            metric = float(np.count_nonzero(flat) / flat.size)
-            pop_points.append((
-                metric,
-                _best_time(
-                    lambda: forced._popcount_sum(x, t, weights, axis),
-                    rounds),
-                _best_time(
-                    lambda: VectorizedEngine._popcount_sum(
-                        dense, x, t, weights, axis),
-                    rounds)))
     hook_crossovers = {label: round(_crossover(points), 4)
                        for label, points in layer_points.items()}
-    popcount = round(_crossover(pop_points), 4)
     raw = {
         "hooks": {label: [[round(d, 4), s, t] for d, s, t in points]
                   for label, points in layer_points.items()},
-        "popcount": [[round(d, 4), s, t] for d, s, t in pop_points],
     }
-    return hook_crossovers, popcount, raw
+    return hook_crossovers, raw
 
 
 def _probe_backends(compiled, calibration, batches: dict, rounds: int,
-                    hook_crossovers: dict, popcount: float,
-                    ) -> tuple[float, list]:
+                    hook_crossovers: dict) -> tuple[float, list]:
     """End-to-end crossover: calibrated sparse vs dense, per density."""
     from repro.core.engine.sparse import SparseEngine
 
     dense = VectorizedEngine(compiled, calibration)
     sparse = SparseEngine(compiled, calibration)
     sparse.apply_thresholds(EngineThresholds(
-        popcount_gather=popcount, by_layer=dict(hook_crossovers),
-        calibrated=True))
+        by_layer=dict(hook_crossovers), calibrated=True))
     points = []
     for images in batches.values():
         density = float(np.count_nonzero(images) / images.size)
@@ -627,10 +593,10 @@ def calibrate_deployment(
     batches = {d: probe_batch(network.input_shape, d, batch, rng)
                for d in densities}
 
-    hook_crossovers, popcount, raw = _probe_hooks(
+    hook_crossovers, raw = _probe_hooks(
         compiled, calibration, batches, rounds)
     backend_crossover, backend_points = _probe_backends(
-        compiled, calibration, batches, rounds, hook_crossovers, popcount)
+        compiled, calibration, batches, rounds, hook_crossovers)
     coo_ratio, codec_points = _probe_codec(batches, rounds)
     dispatch = (measure_dispatch_cost(network, config, calibration)
                 if measure_dispatch else None)
@@ -639,7 +605,6 @@ def calibrate_deployment(
         content_key=key,
         backend_crossover=round(backend_crossover, 4),
         hook_crossovers=hook_crossovers,
-        popcount_gather=popcount,
         coo_ratio=round(coo_ratio, 4),
         dispatch_cost_s=dispatch,
         probe_images=batch,

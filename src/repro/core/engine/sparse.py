@@ -6,21 +6,24 @@ integer tensor, and whole receptive-field patches — often whole images
 mid-sweep — carry no spikes at all.  The dense GEMMs in the vectorized
 engine multiply all of those zeros anyway.  This backend subclasses
 :class:`~repro.core.engine.vectorized.VectorizedEngine` and overrides
-only its four compute hooks to gather the *active* work:
+three of its four compute hooks to gather the *active* work:
 
 * images whose activation tensor is entirely zero skip the layer's
   arithmetic outright (their outputs are exact zeros);
 * convolutions run an im2col-GEMM over only the patch rows with at
   least one spike, and only the kernel columns some patch touches;
-* linear layers drop all-zero input columns before the matmul;
-* adder-operation popcounts are computed over the nonzero entries only
-  (``np.nonzero`` + ``np.bincount``) instead of ``T`` full-tensor
-  passes.
+* linear layers drop all-zero input columns before the matmul.
 
-Why this is bit-exact rather than merely close: every accumulator here
-is an integer-valued float64 sum with magnitude far below ``2**53``,
-so float64 arithmetic is *exact* — dropping terms that are identically
-zero, or reordering the remaining ones, cannot change a single bit.
+Adder-operation popcounts stay on the parent's single
+``np.bitwise_count`` pass: a nonzero gather cost 3-10x that pass at
+every density probed from 0.1% up, so it has nothing to skip.
+
+Why this is bit-exact rather than merely close: every GEMM here runs in
+the parent's per-layer precision (:meth:`VectorizedEngine._gemm_dtype`),
+chosen from the compiler's bound on the layer's partial sums so that
+each one is an integer the float type represents exactly — dropping
+terms that are identically zero, or reordering the remaining ones,
+cannot change a single bit.
 The trace side needs no argument at all: all cycle and memory-traffic
 charges in the parent are closed-form in the layer geometry (the
 accelerator's units sweep every plane whether or not it spikes), and
@@ -32,11 +35,10 @@ When a layer's activations are actually dense the gather bookkeeping
 is pure overhead, so each hook falls back to the parent's dense kernel
 above a density threshold.  The thresholds are *calibrated*: when a
 :class:`~repro.core.engine.calibrate.CalibrationTable` is installed for
-this deployment, each layer gets its own measured crossover (and the
-popcount gather its own); otherwise the historical constants apply
-(:data:`DENSE_FALLBACK_DENSITY`, popcount gather at 0.5).  Thresholds
-only choose *which* exact kernel runs, so calibration can never change
-an output bit.
+this deployment, each layer gets its own measured crossover; otherwise
+the historical constant :data:`DENSE_FALLBACK_DENSITY` applies.
+Thresholds only choose *which* exact kernel runs, so calibration can
+never change an output bit.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ import numpy as np
 from repro.core.calibration import DEFAULT_LATENCY
 from repro.core.engine.base import register_engine
 from repro.core.engine.calibrate import EngineThresholds, thresholds_for
-from repro.core.engine.vectorized import VectorizedEngine, _popcount
-from repro.nn import functional as F
+from repro.core.engine.vectorized import VectorizedEngine, patch_columns
 
 __all__ = ["SparseEngine", "DENSE_FALLBACK_DENSITY"]
 
@@ -70,7 +71,6 @@ class SparseEngine(VectorizedEngine):
     def apply_thresholds(self, thresholds: EngineThresholds) -> None:
         """Adopt (re-)calibrated crossovers; outputs are unaffected."""
         self.thresholds = thresholds
-        self._popcount_gather = thresholds.popcount_gather
         self._fallback_default = thresholds.dense_fallback
         self._fallback_by_spec = {
             id(program.spec): thresholds.for_layer(program.name,
@@ -88,8 +88,9 @@ class SparseEngine(VectorizedEngine):
         n = x.shape[0]
         c_out, h_out, w_out = spec.out_shape
         threshold = self._fallback_for(spec)
+        dtype = self._gemm_dtype(spec)
         live = x.reshape(n, -1).any(axis=1)
-        acc = np.zeros((n, c_out, h_out, w_out), dtype=np.int64)
+        acc = np.zeros((n, c_out, h_out, w_out), dtype=dtype)
         if not live.any():
             return acc
         if live.all():
@@ -98,24 +99,18 @@ class SparseEngine(VectorizedEngine):
             xs = x  # all live: skip the gather copy
         else:
             xs = x[live]
-        cols = F.im2col(xs.astype(np.float64), spec.kernel_size,
-                        spec.stride, spec.padding)
-        m, p, k = cols.shape
-        flat = cols.reshape(m * p, k)
-        active = flat.any(axis=1)
-        flat_k = spec.weights.reshape(c_out, -1).astype(np.float64)
+        cols = patch_columns(spec, xs, dtype)
+        active = cols.any(axis=0)
+        flat_k = spec.weights.reshape(c_out, -1).astype(dtype)
         if active.mean() > threshold:
-            prod = np.rint(flat @ flat_k.T).astype(np.int64)
+            prod = flat_k @ cols
         else:
-            prod = np.zeros((m * p, c_out), dtype=np.int64)
-            rows = np.nonzero(active)[0]
-            if rows.size:
-                sub = flat[rows]
-                taps = sub.any(axis=0)
-                prod[rows] = np.rint(
-                    sub[:, taps] @ flat_k[:, taps].T).astype(np.int64)
-        acc[live] = (prod.reshape(m, p, c_out).transpose(0, 2, 1)
-                     .reshape(m, c_out, h_out, w_out))
+            prod = np.zeros((c_out, cols.shape[1]), dtype=dtype)
+            sub = cols[:, active]
+            taps = sub.any(axis=1)
+            prod[:, active] = flat_k[:, taps] @ sub[taps]
+        acc[live] = (prod.reshape(c_out, -1, h_out, w_out)
+                     .transpose(1, 0, 2, 3))
         return acc
 
     def _pool_sums(self, spec, x: np.ndarray) -> np.ndarray:
@@ -123,52 +118,26 @@ class SparseEngine(VectorizedEngine):
         live = x.reshape(n, -1).any(axis=1)
         if live.all():
             return super()._pool_sums(spec, x)
-        sums = np.zeros((n,) + tuple(spec.out_shape), dtype=np.int64)
-        if live.any():
-            sums[live] = super()._pool_sums(spec, x[live])
+        part = super()._pool_sums(spec, x[live])
+        sums = np.zeros((n,) + tuple(spec.out_shape), dtype=part.dtype)
+        sums[live] = part
         return sums
 
     def _linear_acc(self, spec, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
+        dtype = self._gemm_dtype(spec)
         live = x.any(axis=1)
         if not live.any():
-            return np.zeros((n, spec.out_features), dtype=np.int64)
+            return np.zeros((n, spec.out_features), dtype=dtype)
         xs = x if live.all() else x[live]
         taps = xs.any(axis=0)
         if taps.mean() > self._fallback_for(spec):
             out = super()._linear_acc(spec, xs)
         else:
-            out = np.rint(
-                xs[:, taps].astype(np.float64)
-                @ spec.weights[:, taps].T.astype(np.float64)
-            ).astype(np.int64)
+            out = (xs[:, taps].astype(dtype)
+                   @ spec.weights[:, taps].astype(dtype).T)
         if live.all():
             return out
-        acc = np.zeros((n, spec.out_features), dtype=np.int64)
+        acc = np.zeros((n, spec.out_features), dtype=dtype)
         acc[live] = out
         return acc
-
-    def _popcount_sum(self, x: np.ndarray, t: int,
-                      weights: np.ndarray | None = None,
-                      axis: int | None = None) -> np.ndarray:
-        n = x.shape[0]
-        flat = x.reshape(n, -1)
-        # The gather (nonzero + fancy indexing) costs about one dense
-        # pass; with T passes saved on the zeros it wins only while
-        # most entries are zero.  The crossover is calibrated.
-        if np.count_nonzero(flat) > flat.size * self._popcount_gather:
-            return super()._popcount_sum(x, t, weights, axis)
-        idx_n, idx_f = np.nonzero(flat)
-        if idx_n.size == 0:
-            return np.zeros(n, dtype=np.int64)
-        pops = _popcount(flat[idx_n, idx_f], t)
-        if weights is not None:
-            inner = 1
-            for extent in x.shape[axis + 1:]:
-                inner *= extent
-            coord = (idx_f // inner) % x.shape[axis]
-            pops = pops * weights[coord]
-        # bincount's float64 accumulation is exact here: the weighted
-        # popcounts are integers and their sums stay far below 2**53.
-        return np.bincount(idx_n, weights=pops,
-                           minlength=n).astype(np.int64)

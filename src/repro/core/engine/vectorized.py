@@ -1,4 +1,4 @@
-"""The vectorized backend: whole-batch tensor execution, identical traces.
+"""The vectorized backend: whole-batch narrow-integer tensor execution.
 
 The reference engine simulates every register shift, which makes anything
 beyond a handful of images intractable in Python.  This backend exploits
@@ -6,17 +6,29 @@ that the accelerator's arithmetic is *linear per layer*: summing binary
 spike planes with a left-shifting accumulator over ``T`` steps is exactly
 one integer convolution / pooling / matmul over the radix-decoded
 activations.  It therefore runs each layer as a single im2col-GEMM (or
-window-sum / matmul) over the whole batch and requantizes with the shared
-:func:`~repro.snn.spec.requantize` contract — bit-identical logits by
-construction (float64 GEMMs are exact at these integer magnitudes, the
-same argument ``SNNModel.forward_ints`` relies on).
+window sum / matmul) over the whole batch and requantizes with the shared
+:func:`~repro.snn.spec.requantize` contract.
+
+The datapath is as narrow as the encoding.  Activations are ``T``-bit
+integers, carried in the smallest unsigned dtype that holds them
+(:func:`~repro.encoding.radix.activation_dtype`, ``uint8`` for every
+paper network) from the input quantizer through every layer.  Each GEMM
+runs in float32 or float64, chosen per layer from the accumulator bound
+the compiler stores on its program
+(:attr:`~repro.core.compiler.LayerProgram.acc_bound`, the largest
+``|partial sum|`` the layer can produce).  Every operand is an integer,
+so every partial sum is one too; below ``2**24`` float32 represents all
+of them exactly, so the GEMM is exact in any summation order, and at or
+above it float64 takes over (the compiler rejects layers whose biased
+accumulator could reach float64's ``2**53``).  Logits are therefore
+bit-identical to the reference by construction.
 
 Trace parity: cycle and memory-traffic counters are charged from the same
 calibrated formulas the unit models charge per loop iteration, collapsed
 into closed forms; the data-dependent adder-operation counters are
 recovered from spike popcounts (a spike train's per-step bits of value
-``v`` sum to ``popcount(v)``).  The equivalence suite pins every trace
-field against the reference engine.
+``v`` sum to ``popcount(v)``, one ``np.bitwise_count``).  The equivalence
+suite pins every trace field against the reference engine.
 
 The arithmetic itself is factored into four overridable hooks —
 :meth:`VectorizedEngine._conv_acc`, :meth:`~VectorizedEngine._pool_sums`,
@@ -26,14 +38,18 @@ strategies (see :mod:`repro.core.engine.sparse`) can swap the tensor
 kernels while inheriting every cycle/traffic charge unchanged.  The
 charges are closed-form in the layer geometry (data-independent), so any
 subclass that only overrides the hooks produces identical traces by
-construction; the logits contract is that each hook returns the exact
-integer the dense formula returns.
+construction.  The logits contract: each hook returns the exact integers
+of the dense formula, as an integer array or as exact integer-valued
+floats (the GEMM precision from :meth:`VectorizedEngine._gemm_dtype`
+keeps them exact).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from repro.core.calibration import DEFAULT_LATENCY, LatencyCalibration
 from repro.core.compiler import CompiledModel, LayerProgram
 from repro.core.engine.base import ExecutionEngine, register_engine
 from repro.core.engine.trace import ExecutionTrace, LayerTrace
@@ -46,24 +62,37 @@ from repro.core.latency import (
 from repro.core.stats import MemoryTraffic
 from repro.encoding import radix
 from repro.errors import SimulationError
-from repro.nn import functional as F
 from repro.snn.spec import requantize
 
-__all__ = ["VectorizedEngine"]
+__all__ = ["VectorizedEngine", "FLOAT32_EXACT", "patch_columns"]
 
-
-def _popcount(values: np.ndarray, num_steps: int) -> np.ndarray:
-    """Per-element spike count of a ``T``-step radix train (elementwise)."""
-    v = values.astype(np.int64, copy=True)
-    pop = np.zeros(values.shape, dtype=np.int64)
-    for _ in range(num_steps):
-        pop += v & 1
-        v >>= 1
-    return pop
+#: float32 represents every integer of magnitude below this exactly.
+FLOAT32_EXACT = 1 << 24
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def patch_columns(spec, x: np.ndarray, dtype) -> np.ndarray:
+    """Tap-major im2col of a conv layer's input: ``(K, N*H_out*W_out)``.
+
+    Row ``(c, i, j)`` holds the input tap at kernel offset ``(i, j)`` of
+    channel ``c`` for every output position of every image, so the copy
+    reads whole output rows at a time and one GEMM with the flattened
+    ``(C_out, K)`` kernels convolves the whole batch.
+    """
+    n, c, h, w = x.shape
+    _, h_out, w_out = spec.out_shape
+    kr, kc = spec.kernel_size
+    p, s = spec.padding, spec.stride
+    padded = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dtype)
+    padded[:, :, p:p + h, p:p + w] = x
+    sn, sc, sh, sw = padded.strides
+    taps = as_strided(padded, shape=(c, kr, kc, n, h_out, w_out),
+                      strides=(sc, sh, sw, sn, sh * s, sw * s),
+                      writeable=False)
+    return np.ascontiguousarray(taps).reshape(c * kr * kc, -1)
 
 
 class _LayerResult:
@@ -83,6 +112,18 @@ class VectorizedEngine(ExecutionEngine):
 
     name = "vectorized"
 
+    def __init__(self, compiled: CompiledModel,
+                 calibration: LatencyCalibration = DEFAULT_LATENCY) -> None:
+        super().__init__(compiled, calibration)
+        self._act_dtype = radix.activation_dtype(compiled.network.num_steps)
+        self._gemm_dtypes = {
+            id(program.spec): (np.float32
+                               if program.acc_bound < FLOAT32_EXACT
+                               else np.float64)
+            for program in compiled.programs
+            if program.kind in ("conv", "linear")
+        }
+
     def run_batch(
         self, images: np.ndarray
     ) -> tuple[np.ndarray, list[ExecutionTrace]]:
@@ -90,7 +131,7 @@ class VectorizedEngine(ExecutionEngine):
         network = self.compiled.network
         t = network.num_steps
         n = images.shape[0]
-        x = radix.quantize_real(images, t)  # (N, C, H, W) int64
+        x = radix.quantize_real(images, t, self._act_dtype)  # (N, C, H, W)
 
         traces = [ExecutionTrace() for _ in range(n)]
         in_cycles = input_load_cycles(network.input_shape,
@@ -133,33 +174,49 @@ class VectorizedEngine(ExecutionEngine):
                 "compiled model has no output linear layer")
         return logits, traces
 
+    def _gemm_dtype(self, spec) -> type:
+        """The float dtype in which ``spec``'s GEMM is exact: float32
+        while its accumulator bound stays below ``2**24``."""
+        return self._gemm_dtypes.get(id(spec), np.float64)
+
     # ------------------------------------------------------------------
     # Compute hooks: the arithmetic, separable from the trace charges.
-    # Subclasses may override these (and only these) — each must return
-    # the exact integers of the dense formula (float64 GEMMs on integer
-    # operands are exact, so term order / dropped zero terms don't
-    # change a single bit).
+    # Subclasses may override these (and only these).  Each returns the
+    # exact integers of the dense formula, as integers or as exact
+    # integer-valued floats; GEMMs in ``_gemm_dtype`` are exact in any
+    # summation order, so reordering or dropping zero terms is free.
     # ------------------------------------------------------------------
     def _conv_acc(self, spec, x: np.ndarray) -> np.ndarray:
-        """Pre-bias convolution accumulator, ``(N, C_out, H_out, W_out)``."""
-        acc, _ = F.conv2d(x.astype(np.float64),
-                          spec.weights.astype(np.float64),
-                          None, spec.stride, spec.padding)
-        return np.rint(acc).astype(np.int64)
+        """Pre-bias convolution accumulator, ``(N, C_out, H_out, W_out)``
+        (one GEMM over the whole batch, see :func:`patch_columns`)."""
+        dtype = self._gemm_dtype(spec)
+        c_out, h_out, w_out = spec.out_shape
+        acc = (spec.weights.reshape(c_out, -1).astype(dtype)
+               @ patch_columns(spec, x, dtype))
+        return acc.reshape(c_out, -1, h_out, w_out).transpose(1, 0, 2, 3)
 
     def _pool_sums(self, spec, x: np.ndarray) -> np.ndarray:
         """Integer window sums (pre-shift), ``(N,) + spec.out_shape``."""
-        return np.rint(
-            F.avg_pool2d(x.astype(np.float64), spec.size, spec.stride)
-            * spec.size * spec.size).astype(np.int64)
+        _, h_out, w_out = spec.out_shape
+        rows = spec.stride * (h_out - 1) + 1
+        cols = spec.stride * (w_out - 1) + 1
+        top = spec.size * spec.size * radix.max_int(
+            self.compiled.network.num_steps)
+        sums = np.zeros(x.shape[:2] + (h_out, w_out),
+                        dtype=np.promote_types(np.min_scalar_type(top),
+                                               x.dtype))
+        for dy in range(spec.size):
+            for dx in range(spec.size):
+                sums += x[:, :, dy:dy + rows:spec.stride,
+                          dx:dx + cols:spec.stride]
+        return sums
 
     def _linear_acc(self, spec, x: np.ndarray) -> np.ndarray:
         """Pre-bias matmul accumulator, ``(N, out_features)``."""
-        return np.rint(
-            x.astype(np.float64) @ spec.weights.T.astype(np.float64)
-        ).astype(np.int64)
+        dtype = self._gemm_dtype(spec)
+        return x.astype(dtype) @ spec.weights.astype(dtype).T
 
-    def _popcount_sum(self, x: np.ndarray, t: int,
+    def _popcount_sum(self, x: np.ndarray,
                       weights: np.ndarray | None = None,
                       axis: int | None = None) -> np.ndarray:
         """Per-image weighted spike count, ``(N,)`` int64.
@@ -167,12 +224,11 @@ class VectorizedEngine(ExecutionEngine):
         ``weights`` (if given) is a 1-D integer cover applied along
         ``axis`` of ``x``; with no weights every spike counts once.
         """
-        pops = _popcount(x, t)
-        if weights is not None:
-            shape = [1] * x.ndim
-            shape[axis] = -1
-            pops = pops * weights.reshape(shape)
-        return pops.reshape(x.shape[0], -1).sum(axis=1)
+        pops = np.bitwise_count(x)
+        if weights is None:
+            return pops.reshape(x.shape[0], -1).sum(axis=1, dtype=np.int64)
+        others = tuple(a for a in range(1, x.ndim) if a != axis)
+        return pops.sum(axis=others, dtype=np.int64) @ weights
 
     # ------------------------------------------------------------------
     # Layer executors: batched compute + closed-form trace charges
@@ -181,8 +237,9 @@ class VectorizedEngine(ExecutionEngine):
                   t: int) -> _LayerResult:
         spec = program.spec
         cal = self.calibration
-        acc = self._conv_acc(spec, x) + spec.bias.reshape(1, -1, 1, 1)
-        out = requantize(acc, spec.scales, t, channel_axis=1)
+        out = requantize(self._conv_acc(spec, x), spec.scales, t,
+                         channel_axis=1, bias=spec.bias,
+                         dtype=self._act_dtype)
 
         c_in, h_in, w_in = spec.in_shape
         c_out, h_out, w_out = spec.out_shape
@@ -209,7 +266,7 @@ class VectorizedEngine(ExecutionEngine):
         for j in range(kc):
             cover[np.arange(w_out) * spec.stride + j] += 1
         inner = cover[spec.padding:spec.padding + w_in]
-        spikes = self._popcount_sum(x, t, inner, axis=3)
+        spikes = self._popcount_sum(x, inner, axis=3)
         adder_ops = kr * c_out * spikes
         return _LayerResult(out, cycles, adder_ops, traffic)
 
@@ -217,7 +274,8 @@ class VectorizedEngine(ExecutionEngine):
                   t: int) -> _LayerResult:
         spec = program.spec
         cal = self.calibration
-        out = self._pool_sums(spec, x) >> spec.shift
+        out = (self._pool_sums(spec, x) >> spec.shift).astype(
+            self._act_dtype, copy=False)
 
         c, h_in, w_in = spec.in_shape
         _, h_out, w_out = spec.out_shape
@@ -233,7 +291,7 @@ class VectorizedEngine(ExecutionEngine):
         cover = np.zeros(h_in, dtype=np.int64)
         for oy in range(h_out):
             cover[oy * spec.stride:oy * spec.stride + spec.size] += 1
-        adder_ops = self._popcount_sum(x, t, cover, axis=2)
+        adder_ops = self._popcount_sum(x, cover, axis=2)
         return _LayerResult(out, cycles, adder_ops, traffic)
 
     def _run_flatten(self, program: LayerProgram, x: np.ndarray,
@@ -251,11 +309,12 @@ class VectorizedEngine(ExecutionEngine):
                     t: int) -> _LayerResult:
         spec = program.spec
         cal = self.calibration
-        acc = self._linear_acc(spec, x) + spec.bias.reshape(1, -1)
+        acc = self._linear_acc(spec, x)
         if spec.is_output:
-            out = acc
+            out = acc.astype(np.int64) + spec.bias
         else:
-            out = requantize(acc, spec.scales, t, channel_axis=1)
+            out = requantize(acc, spec.scales, t, channel_axis=1,
+                             bias=spec.bias, dtype=self._act_dtype)
 
         p = self.compiled.config.linear_unit.parallel_outputs
         blocks = _ceil_div(spec.out_features, p)
@@ -268,5 +327,5 @@ class VectorizedEngine(ExecutionEngine):
             kernel_read_values=t * spec.in_features * spec.out_features,
         )
         # Each input spike gates one add in every parallel output's adder.
-        adder_ops = self._popcount_sum(x, t) * spec.out_features
+        adder_ops = self._popcount_sum(x) * spec.out_features
         return _LayerResult(out, cycles, adder_ops, traffic)

@@ -11,6 +11,7 @@ from repro.encoding.quantize import (
     weight_int_range,
 )
 from repro.encoding.radix import (
+    activation_dtype,
     decode_ints,
     decode_real,
     encode_ints,
@@ -32,6 +33,7 @@ __all__ = [
     "PoissonRateEncoder",
     "QuantizedWeights",
     "SpikeTrain",
+    "activation_dtype",
     "decode_ints",
     "decode_rate",
     "decode_real",

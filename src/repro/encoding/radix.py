@@ -32,6 +32,7 @@ __all__ = [
     "quantize_real",
     "step_weight",
     "max_int",
+    "activation_dtype",
 ]
 
 
@@ -51,6 +52,12 @@ def max_int(num_steps: int) -> int:
     """Largest integer representable by a radix train of length ``num_steps``."""
     _check_num_steps(num_steps)
     return (1 << num_steps) - 1
+
+
+def activation_dtype(num_steps: int) -> np.dtype:
+    """Smallest unsigned dtype holding every ``T``-bit activation
+    (``uint8`` for ``T <= 8``, which covers every paper network)."""
+    return np.min_scalar_type(max_int(num_steps))
 
 
 def step_weight(t: int, num_steps: int) -> int:
@@ -101,16 +108,18 @@ def decode_ints(train: SpikeTrain) -> np.ndarray:
     return (train.bits.astype(np.int64) * shaped).sum(axis=0)
 
 
-def quantize_real(values: np.ndarray, num_steps: int) -> np.ndarray:
+def quantize_real(values: np.ndarray, num_steps: int,
+                  dtype=np.int64) -> np.ndarray:
     """Quantize reals in ``[0, 1)`` to the ``T``-bit grid used by the encoder.
 
     Values outside ``[0, 1)`` are clipped — this mirrors the saturating
-    behaviour of the hardware requantization stage.
+    behaviour of the hardware requantization stage.  ``dtype`` is the
+    integer dtype of the result (see :func:`activation_dtype`).
     """
     _check_num_steps(num_steps)
     values = np.asarray(values, dtype=np.float64)
     scaled = np.floor(values * (1 << num_steps))
-    return np.clip(scaled, 0, max_int(num_steps)).astype(np.int64)
+    return np.clip(scaled, 0, max_int(num_steps)).astype(dtype)
 
 
 def encode_real(values: np.ndarray, num_steps: int) -> SpikeTrain:

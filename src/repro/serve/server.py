@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +120,9 @@ class _Request:
     request_id: int
     image: np.ndarray
     future: asyncio.Future
-    enqueued_at: float = field(default_factory=time.perf_counter)
+    #: perf_counter at ``submit()`` entry, so admission (image checks,
+    #: content digest) counts toward queue wait and latency.
+    enqueued_at: float
     priority: int = 0
     timeout_ms: float | None = None
     deadline: float | None = None
@@ -452,6 +454,7 @@ class InferenceServer:
         execute (including the fabric lane that ran it), reply — lands
         in that trace; disabled, the field is ignored at zero cost.
         """
+        submitted_at = time.perf_counter()
         if self._closed:
             raise ServeError("server is not running (call start())")
         if timeout_ms is not None and timeout_ms <= 0:
@@ -489,6 +492,7 @@ class InferenceServer:
         loop = asyncio.get_running_loop()
         request = _Request(request_id=self._next_id, image=image,
                            future=loop.create_future(),
+                           enqueued_at=submitted_at,
                            priority=int(priority),
                            timeout_ms=timeout_ms,
                            key=key or None,

@@ -32,7 +32,8 @@ __all__ = [
 
 
 def requantize(
-    acc: np.ndarray, scales: np.ndarray, num_steps: int, channel_axis: int
+    acc: np.ndarray, scales: np.ndarray, num_steps: int, channel_axis: int,
+    *, bias: np.ndarray | None = None, dtype=np.int64,
 ) -> np.ndarray:
     """The hardware requantization stage: ReLU + rescale + saturate.
 
@@ -43,13 +44,23 @@ def requantize(
     to the accumulator anyway.  At T=3 (eight activation levels) this
     half-LSB recovers several accuracy points, so every executor must use
     exactly this function.
+
+    ``acc`` holds exact integers, as an integer or a float array; an
+    optional integer ``bias`` (broadcast like ``scales``) is added to it
+    first.  The arithmetic always runs in float64, in place on one fresh
+    C-ordered buffer: ``M`` in float32 would move ``floor(acc * M + 1/2)``
+    near half-integers.  ``dtype`` is the integer dtype of the result.
     """
-    scales = np.asarray(scales, dtype=np.float64)
     shape = [1] * acc.ndim
     shape[channel_axis] = -1
-    scaled = np.floor(acc.astype(np.float64) * scales.reshape(shape) + 0.5)
-    top = (1 << num_steps) - 1
-    return np.clip(scaled, 0, top).astype(np.int64)
+    scaled = np.array(acc, dtype=np.float64, order="C")
+    if bias is not None:
+        scaled += np.asarray(bias).reshape(shape)
+    scaled *= np.asarray(scales, dtype=np.float64).reshape(shape)
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    np.clip(scaled, 0, (1 << num_steps) - 1, out=scaled)
+    return scaled.astype(dtype)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ class TestCalibrationTable:
         table = CalibrationTable(
             content_key="abc123", backend_crossover=0.31,
             hook_crossovers={"conv1:conv": 0.7, "fc1:linear": 0.4},
-            popcount_gather=0.45, coo_ratio=0.8, dispatch_cost_s=1.5e-3,
+            coo_ratio=0.8, dispatch_cost_s=1.5e-3,
             probe_images=8, densities=(0.02, 0.5),
             probes={"backend": [[0.02, 1.0, 2.0]]})
         restored = CalibrationTable.from_dict(table.to_dict())
@@ -115,7 +115,6 @@ class TestCalibrateDeployment:
         assert table.content_key == key
         assert store.has_result(calibration_store_key(key))
         assert 0.0 <= table.backend_crossover <= 1.0
-        assert 0.0 <= table.popcount_gather <= 1.0
         assert 0.1 <= table.coo_ratio <= 1.0
         for label, crossover in table.hook_crossovers.items():
             assert 0.0 <= crossover <= 1.0, label
@@ -164,8 +163,7 @@ class TestThresholdsOnlyMoveStrategy:
         sparse = SparseEngine(compiled)
         for extreme in (0.0, 1.0):
             sparse.apply_thresholds(EngineThresholds(
-                dense_fallback=extreme, popcount_gather=extreme,
-                by_layer={}))
+                dense_fallback=extreme, by_layer={}))
             for images in batches:
                 want_logits, want_traces = dense.run_batch(images)
                 got_logits, got_traces = sparse.run_batch(images)
@@ -182,12 +180,11 @@ class TestThresholdsOnlyMoveStrategy:
                        if p.kind in ("conv", "linear")]
         table = CalibrationTable(
             content_key=content_key(net, config, DEFAULT_LATENCY),
-            backend_crossover=0.42, popcount_gather=0.33,
+            backend_crossover=0.42,
             hook_crossovers={f"{layer_names[0]}:conv": 0.11})
         install_table(table)
         engine = SparseEngine(compiled)
         assert engine.thresholds.calibrated
-        assert engine._popcount_gather == 0.33
         conv_spec = next(p.spec for p in compiled.programs
                          if p.kind == "conv")
         linear_spec = next(p.spec for p in compiled.programs

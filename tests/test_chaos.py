@@ -157,9 +157,13 @@ class TestGroupUnderChaos:
         workers = [ProcessWorker(name="doomed"),
                    ThreadWorker(name="healthy")]
         with WorkerGroup(workers, deployments=[deployment],
-                         chaos=chaos, heartbeat_s=30.0) as group:
+                         chaos=chaos, heartbeat_s=30.0,
+                         steal=False) as group:
             # Pin everything to the doomed lane: its first dispatch is
-            # chaos-killed, so recovery has to move all of it.
+            # chaos-killed, so recovery has to move all of it.  Without
+            # stealing: the idle thread lane could otherwise take every
+            # pinned item before the process lane's first dispatch, and
+            # nothing would be killed.
             results = group.run(items, assignment=[0] * len(items))
             assert group.metrics.worker_crashes >= 1
             assert group.alive_workers() == ["healthy"]

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Accelerator,
@@ -24,7 +26,8 @@ from repro.core import (
     create_engine,
 )
 from repro.core.config import LinearUnitConfig, MemoryConfig
-from repro.errors import ConfigurationError, ShapeError
+from repro.core.engine.vectorized import FLOAT32_EXACT
+from repro.errors import CompilationError, ConfigurationError, ShapeError
 from repro.models import performance_network
 from repro.snn import SNNModel
 
@@ -144,6 +147,123 @@ class TestRandomLayerEquivalence:
         assert_traces_identical(ref_traces[0], vec_traces[0])
         assert any(l.dram_cycles > 0 for l in vec_traces[0].layers)
         assert vec_traces[0].total_traffic().weight_stream_bits > 0
+
+
+def keep_alive(net, gain, seed):
+    """Rescale every requantized layer so activations span the ``T``-bit
+    range (random networks otherwise fall silent), and draw biases."""
+    rng = np.random.default_rng(seed)
+    top_w = (1 << (net.weight_bits - 1)) - 1
+    top_a = (1 << net.num_steps) - 1
+    layers = []
+    for spec in net.layers:
+        if spec.kind in ("conv", "linear"):
+            rows = spec.weights.shape[0]
+            fan_in = spec.weights[0].size
+            spec = replace(
+                spec,
+                scales=np.full(rows, gain / (np.sqrt(fan_in) * top_w)),
+                bias=rng.integers(-2 * top_a * top_w, 2 * top_a * top_w + 1,
+                                  size=rows))
+        layers.append(spec)
+    return replace(net, layers=tuple(layers))
+
+
+@st.composite
+def narrow_stacks(draw):
+    """A tiny conv/pool/flatten/linear network plus its weight placement.
+
+    Draws kernel, stride and padding per conv, optional pools and hidden
+    linear layers, ``T`` in 1..8, the weight width and on-chip vs
+    DRAM-streamed weights.
+    """
+    channels = draw(st.integers(1, 2))
+    side = h = draw(st.integers(4, 9))
+    layers = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, min(3, h)))
+        stride = draw(st.integers(1, 2))
+        padding = draw(st.integers(0, 1))
+        layers.append(("conv", draw(st.integers(1, 4)), k, stride, padding))
+        h = (h + 2 * padding - k) // stride + 1
+        if h >= 2 and draw(st.booleans()):
+            layers.append(("pool", 2))
+            h //= 2
+    layers.append(("flatten",))
+    if draw(st.booleans()):
+        layers.append(("linear", draw(st.integers(1, 8))))
+    layers.append(("linear", draw(st.integers(2, 5))))
+    seed = draw(st.integers(0, 1 << 16))
+    net = performance_network(
+        layers, input_shape=(channels, side, side),
+        num_steps=draw(st.integers(1, 8)),
+        weight_bits=draw(st.integers(2, 8)), seed=seed)
+    net = keep_alive(net, draw(st.floats(0.5, 4.0)), seed)
+    return net, draw(st.booleans()), seed
+
+
+def wide_head_network(head_weight):
+    """``T=8`` identity conv, then an output layer whose accumulator
+    bound is ``64 * 255 * head_weight``: the knob for the GEMM-precision
+    cases."""
+    net = performance_network(
+        [("conv", 4, 1, 1, 0), ("flatten",), ("linear", 3)],
+        input_shape=(1, 4, 4), num_steps=8, seed=0)
+    conv, flatten, head = net.layers
+    conv = replace(conv, weights=np.ones_like(conv.weights),
+                   scales=np.ones(4))
+    head = replace(head,
+                   weights=np.full(head.weights.shape, head_weight,
+                                   dtype=np.int64),
+                   bias=np.ones(3, dtype=np.int64))
+    return replace(net, layers=(conv, flatten, head))
+
+
+class TestNarrowEngine:
+    """The narrow dense path (``T``-bit activations, float32 GEMMs where
+    the compiled bound allows) against the reference, on drawn stacks."""
+
+    @given(narrow_stacks())
+    @settings(max_examples=20, deadline=None)
+    def test_drawn_stack_bit_and_trace_identical(self, case):
+        net, on_chip, seed = case
+        config = AcceleratorConfig.for_network(net)
+        if not on_chip:
+            config = replace(config,
+                             memory=MemoryConfig(onchip_weight_capacity=1))
+        images = np.random.default_rng(seed).random((2,) + net.input_shape)
+        (ref_logits, ref_traces), (vec_logits, vec_traces) = run_both(
+            net, config, images)
+        assert ref_logits.dtype == vec_logits.dtype == np.int64
+        np.testing.assert_array_equal(ref_logits, vec_logits)
+        for ref_trace, vec_trace in zip(ref_traces, vec_traces):
+            assert_traces_identical(ref_trace, vec_trace)
+        assert (any(l.dram_cycles > 0 for l in vec_traces[0].layers)
+                == (not on_chip))
+
+    def test_wide_bound_selects_float64_and_stays_exact(self, rng):
+        net = wide_head_network(1 << 18)
+        config = AcceleratorConfig.for_network(net)
+        compiled = compile_network(net, config)
+        engine = create_engine("vectorized", compiled)
+        conv, _, head = compiled.programs
+        assert head.acc_bound >= FLOAT32_EXACT
+        assert engine._gemm_dtype(head.spec) is np.float64
+        assert engine._gemm_dtype(conv.spec) is np.float32
+        images = 0.5 + 0.5 * rng.random((2,) + net.input_shape)
+        (ref_logits, ref_traces), (vec_logits, vec_traces) = run_both(
+            net, config, images)
+        np.testing.assert_array_equal(ref_logits, vec_logits)
+        for ref_trace, vec_trace in zip(ref_traces, vec_traces):
+            assert_traces_identical(ref_trace, vec_trace)
+        # Odd logits past 2**24: no float32 GEMM could have produced them.
+        assert (vec_logits.astype(np.float32).astype(np.int64)
+                != vec_logits).all()
+
+    def test_bound_past_float64_range_rejected_at_compile(self):
+        net = wide_head_network(1 << 45)
+        with pytest.raises(CompilationError, match="fc1"):
+            compile_network(net, AcceleratorConfig.for_network(net))
 
 
 def lenet5_network(num_steps, seed):

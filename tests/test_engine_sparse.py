@@ -140,9 +140,11 @@ class TestSparsityEdgeCases:
 
 class TestSparseIsFasterOnSparseInput:
     def test_less_popcount_work_same_answer(self, rng):
-        """Sanity: the sparse popcount path equals the dense one on a
-        pathological mix of zero and saturated entries."""
+        """Sanity: the spike accounting both engines use counts the
+        radix trains' spikes on a pathological mix of zero and
+        saturated entries, in the narrow dtype and in int64 alike."""
         from repro.core import compile_network, create_engine
+        from repro.encoding import radix
         net = _net(int(rng.integers(1 << 16)))
         compiled = compile_network(net, AcceleratorConfig.for_network(net))
         dense = create_engine("vectorized", compiled)
@@ -150,9 +152,13 @@ class TestSparseIsFasterOnSparseInput:
         x = rng.integers(0, 16, size=(4, 2, 5, 7)).astype(np.int64)
         x[x < 12] = 0
         weights = rng.integers(1, 4, size=7).astype(np.int64)
-        np.testing.assert_array_equal(
-            dense._popcount_sum(x, 4, weights, axis=3),
-            sparse._popcount_sum(x, 4, weights, axis=3))
-        np.testing.assert_array_equal(
-            dense._popcount_sum(x.reshape(4, -1), 4),
-            sparse._popcount_sum(x.reshape(4, -1), 4))
+        spikes = radix.encode_ints(x, 4).bits.astype(np.int64)
+        per_column = spikes.sum(axis=(0, 2, 3))        # (N, W)
+        for engine in (dense, sparse):
+            for values in (x, x.astype(np.uint8)):
+                np.testing.assert_array_equal(
+                    engine._popcount_sum(values, weights, axis=3),
+                    per_column @ weights)
+                np.testing.assert_array_equal(
+                    engine._popcount_sum(values.reshape(4, -1)),
+                    per_column.sum(axis=1))

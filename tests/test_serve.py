@@ -937,6 +937,26 @@ class TestResultCache:
         series = families["repro_result_cache_hits_total"]["series"]
         assert series and series[0]["value"] >= 2
 
+    def test_admission_digest_counts_toward_latency(self, rng,
+                                                    monkeypatch):
+        """Latency runs from ``submit()`` entry, so a slow admission
+        digest shows up in the result's latency and queue wait."""
+        import repro.serve.server as server_module
+
+        delay_s = 0.05
+        real_digest = server_module.batch_digest
+
+        def slow_digest(image):
+            time.sleep(delay_s)
+            return real_digest(image)
+
+        monkeypatch.setattr(server_module, "batch_digest", slow_digest)
+        net = tiny_network(rng)
+        image = tiny_images(rng, net, 1)[0]
+        (result,), _, _ = self._serve_seq(net, [image], max_wait_ms=0.0)
+        assert result.latency_ms >= delay_s * 1e3
+        assert result.queue_wait_ms >= delay_s * 1e3
+
     def test_distinct_images_never_cross_hit(self, rng):
         net = tiny_network(rng)
         images = tiny_images(rng, net, 6)
